@@ -26,6 +26,7 @@
 #include "fec/interleaver.hpp"
 #include "fec/scrambler.hpp"
 #include "fec/viterbi.hpp"
+#include "mac/phy_model.hpp"
 #include "phy/frame.hpp"
 
 namespace carpool {
@@ -161,6 +162,26 @@ void BM_Scrambler(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Scrambler);
+
+void BM_AnalyticSubframeErrorProb(benchmark::State& state) {
+  // One MAC reception judgement (args: rte, num_symbols). RTE evaluates
+  // one logistic per subframe, standard estimation one per symbol. The
+  // SNR cycles over 16 run-time values in 20-35 dB, so no call can be
+  // folded away.
+  const mac::AnalyticPhyModel model;
+  mac::SubframeChannelQuery query;
+  query.rte = state.range(0) != 0;
+  query.num_symbols = static_cast<std::size_t>(state.range(1));
+  Rng rng(8);
+  std::vector<double> snrs(16);
+  for (double& snr : snrs) snr = rng.uniform(20.0, 35.0);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    query.snr_db = snrs[i++ % snrs.size()];
+    benchmark::DoNotOptimize(model.subframe_error_prob(query));
+  }
+}
+BENCHMARK(BM_AnalyticSubframeErrorProb)->ArgsProduct({{0, 1}, {8, 47, 400}});
 
 // ---------------------------------------------------------------------
 // Kernel backend throughput: scalar reference vs the best SIMD tier.

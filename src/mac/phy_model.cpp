@@ -36,15 +36,24 @@ double AnalyticPhyModel::subframe_error_prob(
   // preamble (standard) or the last verified data pilot (RTE).
   const double effective_snr = query.snr_db + rate_margin_db(query.rate_bps);
   double success = 1.0;
-  for (std::size_t s = 0; s < query.num_symbols; ++s) {
-    double stale_symbols;
-    if (query.rte) {
-      stale_symbols = params_.rte_residual_symbols;
-    } else {
-      stale_symbols = static_cast<double>(query.start_symbol + s);
+  if (query.rte) {
+    // RTE pins staleness at the residual, so every symbol fails with the
+    // same probability: evaluate it once. The multiply stays sequential
+    // (not pow) so the product rounds exactly as a per-symbol loop does.
+    const double symbol_success =
+        1.0 - symbol_error_prob(effective_snr,
+                                params_.rte_residual_symbols *
+                                    params_.symbol_duration /
+                                    query.coherence_time);
+    for (std::size_t s = 0; s < query.num_symbols; ++s) {
+      success *= symbol_success;
+      if (success <= 1e-9) return 1.0;
     }
-    const double staleness =
-        stale_symbols * params_.symbol_duration / query.coherence_time;
+    return 1.0 - success;
+  }
+  for (std::size_t s = 0; s < query.num_symbols; ++s) {
+    const double staleness = static_cast<double>(query.start_symbol + s) *
+                             params_.symbol_duration / query.coherence_time;
     success *= 1.0 - symbol_error_prob(effective_snr, staleness);
     if (success <= 1e-9) return 1.0;
   }

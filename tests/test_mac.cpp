@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 
 #include "mac/aggregation.hpp"
 #include "mac/energy.hpp"
@@ -112,6 +115,114 @@ TEST(AnalyticPhy, ControlFramesRobust) {
   EXPECT_LT(model.control_error_prob(25.0), 1e-6);
   EXPECT_LT(model.control_error_prob(0.0), 0.1);
   EXPECT_GT(model.control_error_prob(-18.0), 0.3);
+}
+
+/// Reference for AnalyticPhyModel::subframe_error_prob: the plain
+/// per-symbol loop, one symbol_error_prob (one exp) per symbol on both
+/// branches, built only from the model's public pieces.
+double reference_subframe_error_prob(const AnalyticPhyModel& model,
+                                     const AnalyticPhyModel::Params& params,
+                                     const SubframeChannelQuery& query) {
+  const double effective_snr =
+      query.snr_db + AnalyticPhyModel::rate_margin_db(query.rate_bps);
+  double success = 1.0;
+  for (std::size_t s = 0; s < query.num_symbols; ++s) {
+    double stale_symbols;
+    if (query.rte) {
+      stale_symbols = params.rte_residual_symbols;
+    } else {
+      stale_symbols = static_cast<double>(query.start_symbol + s);
+    }
+    const double staleness =
+        stale_symbols * params.symbol_duration / query.coherence_time;
+    success *= 1.0 - model.symbol_error_prob(effective_snr, staleness);
+    if (success <= 1e-9) return 1.0;
+  }
+  return 1.0 - success;
+}
+
+/// The analytic model with subframe_error_prob routed through the
+/// reference loop.
+class ReferencePhyModel final : public PhyErrorModel {
+ public:
+  [[nodiscard]] double subframe_error_prob(
+      const SubframeChannelQuery& query) const override {
+    return reference_subframe_error_prob(model_, {}, query);
+  }
+  [[nodiscard]] double control_error_prob(double snr_db) const override {
+    return model_.control_error_prob(snr_db);
+  }
+
+ private:
+  AnalyticPhyModel model_;
+};
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(AnalyticPhy, SubframeErrorProbMatchesPerSymbolReference) {
+  // Bit for bit, not within ULPs: soak fingerprints hash every simulated
+  // statistic, so a pow() shortcut that rounds differently could move
+  // them although EXPECT_DOUBLE_EQ (4 ULPs) would pass.
+  AnalyticPhyModel::Params no_residual;
+  no_residual.rte_residual_symbols = 0.0;
+  AnalyticPhyModel::Params long_residual;
+  long_residual.rte_residual_symbols = 5.0;
+  const AnalyticPhyModel::Params param_sets[] = {{}, no_residual,
+                                                 long_residual};
+  const double rates[] = {6.5e6, 13e6, 19.5e6, 26e6, 39e6,
+                          52e6,  58.5e6, 65e6, 0.0,  1e9};
+  const std::size_t lengths[] = {1, 2, 47, 81, 400, 2000};
+  const std::size_t starts[] = {0, 17};
+  const double coherence_times[] = {1e-4, 5e-3, 1e-1};
+
+  std::size_t compared = 0;
+  std::size_t mismatches = 0;
+  // By query.rte. The reference returns exactly 1.0 only from its
+  // success <= 1e-9 early exit.
+  std::size_t early_exits[2] = {0, 0};
+  std::size_t partial[2] = {0, 0};  // strictly between 0 and 1
+  for (const AnalyticPhyModel::Params& params : param_sets) {
+    const AnalyticPhyModel model(params);
+    for (const bool rte : {false, true}) {
+      for (int quarter_db = -40; quarter_db <= 240; ++quarter_db) {
+        for (const double rate : rates) {
+          for (const std::size_t n : lengths) {
+            for (const std::size_t start : starts) {
+              for (const double tc : coherence_times) {
+                SubframeChannelQuery q;
+                q.snr_db = 0.25 * quarter_db;
+                q.rate_bps = rate;
+                q.num_symbols = n;
+                q.start_symbol = start;
+                q.rte = rte;
+                q.coherence_time = tc;
+                const double want =
+                    reference_subframe_error_prob(model, params, q);
+                const double got = model.subframe_error_prob(q);
+                ++compared;
+                if (want == 1.0) ++early_exits[rte];
+                if (want > 0.0 && want < 1.0) ++partial[rte];
+                if (bits(got) != bits(want) && ++mismatches <= 5) {
+                  ADD_FAILURE() << "rte=" << rte << " snr=" << q.snr_db
+                                << " rate=" << rate << " n=" << n
+                                << " start=" << start << " tc=" << tc
+                                << " residual="
+                                << params.rte_residual_symbols
+                                << ": got " << got << ", reference "
+                                << want;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << compared << " queries";
+  for (const bool rte : {false, true}) {
+    EXPECT_GT(early_exits[rte], 0u) << "rte=" << rte;
+    EXPECT_GT(partial[rte], 0u) << "rte=" << rte;
+  }
 }
 
 TEST(PerfectPhy, NeverFails) {
@@ -719,6 +830,89 @@ TEST(RateAdaptation, SlowLinksConsumeMoreAirtime) {
   const SimResult slow = run(9.0);  // ~13 Mb/s links
   EXPECT_GT(slow.airtime_payload + slow.airtime_overhead,
             1.5 * (fast.airtime_payload + fast.airtime_overhead));
+}
+
+// ------------------------------------------- model speed-ups change nothing
+
+TEST(Simulator, StatisticsMatchPerSymbolReferenceModel) {
+  // A faster PHY model must leave every simulated statistic unchanged.
+  // The 30 us coherence time costs the RTE residual ~16 dB, so the
+  // weakest links fail even at MCS0 and every link-policy layer fires.
+  auto run = [](std::shared_ptr<const PhyErrorModel> phy) {
+    SimConfig cfg = base_config(Scheme::kCarpool, 8, 2.0);
+    cfg.sta_snr_db = {12, 14, 16, 18, 21, 24, 27, 30};
+    cfg.coherence_time = 3e-5;
+    cfg.link_policy.rate_adaptation = true;
+    cfg.link_policy.feedback = true;
+    cfg.link_policy.suspension = true;
+    cfg.link_policy.record_transitions = true;
+    cfg.phy = std::move(phy);
+    Simulator sim(cfg);
+    for (NodeId sta = 1; sta <= 8; ++sta) {
+      sim.add_flow(traffic::make_cbr_flow(sta, 1000, 0.004));
+    }
+    return sim.run();
+  };
+  const SimResult got = run(nullptr);  // the default AnalyticPhyModel
+  const SimResult want = run(std::make_shared<ReferencePhyModel>());
+
+  EXPECT_GT(got.subframe_failures, 0u);
+  EXPECT_GT(got.ls_rate_downgrades, 0u);
+  EXPECT_GT(got.ls_rate_upgrades, 0u);
+  EXPECT_GT(got.lq_suspensions, 0u);
+  EXPECT_GT(got.lq_probes, 0u);
+
+  EXPECT_EQ(got.dl_frames_delivered, want.dl_frames_delivered);
+  EXPECT_EQ(got.dl_frames_dropped, want.dl_frames_dropped);
+  EXPECT_EQ(got.ul_frames_delivered, want.ul_frames_delivered);
+  EXPECT_EQ(got.ul_frames_dropped, want.ul_frames_dropped);
+  EXPECT_EQ(got.tx_attempts, want.tx_attempts);
+  EXPECT_EQ(got.collisions, want.collisions);
+  EXPECT_EQ(got.subframe_failures, want.subframe_failures);
+  EXPECT_EQ(got.false_positive_decodes, want.false_positive_decodes);
+  EXPECT_EQ(got.lq_suspensions, want.lq_suspensions);
+  EXPECT_EQ(got.lq_probes, want.lq_probes);
+  EXPECT_EQ(got.ls_transitions, want.ls_transitions);
+  EXPECT_EQ(got.ls_rate_downgrades, want.ls_rate_downgrades);
+  EXPECT_EQ(got.ls_rate_upgrades, want.ls_rate_upgrades);
+
+  const double SimResult::*const fields[] = {
+      &SimResult::duration,         &SimResult::downlink_goodput_bps,
+      &SimResult::uplink_goodput_bps, &SimResult::mean_delay_s,
+      &SimResult::p95_delay_s,      &SimResult::max_delay_s,
+      &SimResult::airtime_payload,  &SimResult::airtime_overhead,
+      &SimResult::airtime_collision, &SimResult::airtime_idle,
+      &SimResult::mean_ap_queue_depth,
+      &SimResult::avg_aggregated_receivers, &SimResult::jain_fairness};
+  for (std::size_t i = 0; i < std::size(fields); ++i) {
+    EXPECT_EQ(bits(got.*fields[i]), bits(want.*fields[i])) << "field " << i;
+  }
+
+  ASSERT_EQ(got.per_sta_goodput_bps.size(), want.per_sta_goodput_bps.size());
+  for (std::size_t i = 0; i < got.per_sta_goodput_bps.size(); ++i) {
+    EXPECT_EQ(bits(got.per_sta_goodput_bps[i]),
+              bits(want.per_sta_goodput_bps[i]))
+        << "sta " << i;
+  }
+  ASSERT_EQ(got.node_energy.size(), want.node_energy.size());
+  for (std::size_t i = 0; i < got.node_energy.size(); ++i) {
+    const NodeEnergy& a = got.node_energy[i];
+    const NodeEnergy& b = want.node_energy[i];
+    EXPECT_EQ(bits(a.tx_seconds), bits(b.tx_seconds)) << "node " << i;
+    EXPECT_EQ(bits(a.rx_seconds), bits(b.rx_seconds)) << "node " << i;
+    EXPECT_EQ(bits(a.joules), bits(b.joules)) << "node " << i;
+    EXPECT_EQ(bits(a.idle_seconds), bits(b.idle_seconds)) << "node " << i;
+  }
+  ASSERT_EQ(got.link_transitions.size(), want.link_transitions.size());
+  for (std::size_t i = 0; i < got.link_transitions.size(); ++i) {
+    const LinkTransition& a = got.link_transitions[i];
+    const LinkTransition& b = want.link_transitions[i];
+    EXPECT_EQ(bits(a.time), bits(b.time)) << "transition " << i;
+    EXPECT_EQ(a.sta, b.sta) << "transition " << i;
+    EXPECT_EQ(a.from, b.from) << "transition " << i;
+    EXPECT_EQ(a.to, b.to) << "transition " << i;
+    EXPECT_EQ(bits(a.rate_bps), bits(b.rate_bps)) << "transition " << i;
+  }
 }
 
 }  // namespace
