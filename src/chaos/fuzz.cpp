@@ -634,13 +634,12 @@ FuzzReport FuzzEngine::run(const std::vector<Scenario>& seeds) const {
   // resumed campaign's corpus already contains the admitted seeds (and
   // their evolution) — re-seeding would double-count evals.
   if (!report.resumed) {
-    auto shards = par::run_sharded_keep(
+    auto outcomes = par::run_sharded(
         seeds.size(), threads, [&](const par::ShardInfo& info) {
           return evaluate(seeds[info.index], opts_);
         });
     for (std::size_t i = 0; i < seeds.size() && !stop; ++i) {
-      consume(std::move(shards.results[i]), Scenario(seeds[i]), 0, i,
-              "seed");
+      consume(std::move(outcomes[i]), Scenario(seeds[i]), 0, i, "seed");
     }
     if (!stop) flush_state();
   }
@@ -659,14 +658,13 @@ FuzzReport FuzzEngine::run(const std::vector<Scenario>& seeds) const {
           tournament_select(report.corpus, round_rng);
       batch.push_back(mutator.mutate(parent.scenario, round_rng));
     }
-    auto shards = par::run_sharded_keep(
+    auto outcomes = par::run_sharded(
         batch.size(), threads, [&](const par::ShardInfo& info) {
           return evaluate(batch[info.index].scenario, opts_);
         });
     for (std::size_t i = 0; i < batch.size() && !stop; ++i) {
-      consume(std::move(shards.results[i]),
-              std::move(batch[i].scenario), round, i,
-              std::string(batch[i].op));
+      consume(std::move(outcomes[i]), std::move(batch[i].scenario), round,
+              i, std::string(batch[i].op));
     }
     ++report.rounds_run;
     ambient.counter("chaos.fuzz.rounds").add();

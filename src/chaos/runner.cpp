@@ -308,14 +308,15 @@ std::vector<std::vector<ProbeHarness::Probe>> plan_probes(
 
 // ----------------------------------------------------- repeat execution
 //
-// One full timeline pass, extracted so the serial loop and the parallel
-// wave scheduler (docs/PARALLELISM.md) run the *same* code. A `live`
-// pass runs with the real campaign coordinates — frame budget and fault
-// injection armed, violations stamped with campaign-wide frame counts. A
-// detached pass (live == false) runs the identical simulation from frame
-// base 0 with those stop checks disarmed; the frame base feeds only stop
-// checks and recorded coordinates (see StepInvariants), so a detached
-// pass is bit-identical to a live one right up to the first stop event.
+// One full timeline pass, extracted so every repeat of the wave
+// scheduler (docs/PARALLELISM.md), live or detached, runs the *same*
+// code. A `live` pass runs with the real campaign coordinates — frame
+// budget and fault injection armed, violations stamped with
+// campaign-wide frame counts. A detached pass (live == false) runs the
+// identical simulation from frame base 0 with those stop checks
+// disarmed; the frame base feeds only stop checks and recorded
+// coordinates (see StepInvariants), so a detached pass is bit-identical
+// to a live one right up to the first stop event.
 
 struct RepeatOutcome {
   std::vector<EpisodeSummary> summaries;
@@ -814,8 +815,10 @@ SoakReport SoakRunner::run(const Scenario& scenario) const {
       s, topo != nullptr ? topo->timeline.handover_times()
                          : std::vector<double>{});
   const std::vector<Episode>& episodes = ctx->episodes;
+  // A single-pass run (max_frames == 0) has exactly one repeat.
   const std::size_t max_repeats =
-      std::max<std::size_t>(1, opts_.max_repeats);
+      opts_.max_frames == 0 ? 1
+                            : std::max<std::size_t>(1, opts_.max_repeats);
   const std::size_t threads =
       opts_.threads == 0 ? par::hardware_threads() : opts_.threads;
 
@@ -840,141 +843,97 @@ SoakReport SoakRunner::run(const Scenario& scenario) const {
     }
   };
 
-  // A resumed campaign that already met its budget (or was single-pass)
-  // has no repeats left — skip straight to finalization.
-  const bool already_complete =
-      report.resumed && (opts_.max_frames == 0 ||
-                         report.frames_judged >= opts_.max_frames);
-
-  // Retry/fault-injection campaigns route through the wave scheduler
-  // even at threads<=1, so injected faults and retries behave
-  // identically at any thread count. Single-pass runs (max_frames == 0)
-  // have exactly one repeat and keep the classic serial path —
-  // re-running the whole campaign is the retry story there.
+  // Waves of `threads` repeats fan across the pool (docs/PARALLELISM.md).
+  // A wave's first repeat starts at a frame base this thread already
+  // knows, so it runs live: real base, budget and injection checks armed.
+  // The rest run detached (frame base 0, stop checks disarmed); a
+  // detached pass with no stop event is bit-identical to the live pass,
+  // so walking the wave in repeat order its shard metrics merge into the
+  // ambient registry and its outcome joins the report. The first
+  // detached repeat the campaign would have stopped in is re-run live on
+  // this thread — that re-run supplies the authoritative violations,
+  // coordinates, and metrics — and the rest of the wave is discarded.
+  // At threads=1 every wave is one live repeat.
+  //
+  // Without retries or faults there is no DegradedReport sink, so a
+  // throwing repeat kills the campaign with its own exception.
   const bool resilient =
       opts_.retry.enabled() || opts_.fault_plan.has_value();
-
-  if (already_complete) {
-    // Nothing to run.
-  } else if ((threads <= 1 && !resilient) || opts_.max_frames == 0) {
-    // Serial campaign: every repeat live, in order. A single-pass run
-    // (max_frames == 0) has exactly one repeat, so there is nothing to
-    // parallelise regardless of the thread knob.
-    for (std::size_t repeat = start_repeat; repeat < max_repeats;
-         ++repeat) {
+  const auto budget_spent = [&] {
+    return opts_.max_frames > 0 && report.frames_judged >= opts_.max_frames;
+  };
+  std::size_t next_repeat = start_repeat;
+  std::size_t last_flush = start_repeat;
+  // A resumed campaign that already met its budget skips straight to
+  // finalization (a resumed single-pass run has no repeat left either).
+  bool stop = budget_spent();
+  while (!stop && next_repeat < max_repeats) {
+    const std::size_t wave = std::min(threads, max_repeats - next_repeat);
+    // Captures by value only: `base` and `live_base` because this thread
+    // mutates next_repeat and the report while detached attempts may
+    // still be running, and `ctx` so an abandoned attempt keeps the
+    // campaign state alive (run_sharded_resilient copies the callable
+    // into shared state that outlives this frame).
+    const std::size_t base = next_repeat;
+    const std::uint64_t live_base = report.frames_judged;
+    const auto repeat_job = [ctx, base,
+                             live_base](const par::ShardInfo& info) {
+      const TopoCtx* job_topo =
+          ctx->topo.has_value() ? &*ctx->topo : nullptr;
+      const bool live = info.index == 0;
+      return run_one_repeat(ctx->s, ctx->episodes, job_topo,
+                            base + info.index, live ? live_base : 0,
+                            ctx->opts, live);
+    };
+    // Fault-plan entries address campaign repeat numbers; re-base them
+    // onto this wave's shard indices.
+    par::FaultPlan windowed;
+    if (opts_.fault_plan.has_value()) {
+      windowed = opts_.fault_plan->window(next_repeat, wave);
+    }
+    par::DegradedReport wave_degraded;
+    par::Sharded<RepeatOutcome> shards = par::run_sharded_resilient(
+        wave, threads, opts_.retry,
+        opts_.fault_plan.has_value() ? &windowed : nullptr, repeat_job,
+        resilient ? &wave_degraded : nullptr);
+    // Quarantined repeats: remap wave-local indices back to campaign
+    // repeat numbers and keep going — the campaign degrades, it does
+    // not abort. Their outcomes (null registry slot) are skipped below.
+    for (const par::QuarantinedShard& q : wave_degraded.quarantined) {
+      report.degraded.quarantined.push_back(
+          {next_repeat + q.index, q.attempts, q.error});
+    }
+    report.degraded.retries += wave_degraded.retries;
+    report.degraded.stalls += wave_degraded.stalls;
+    for (std::size_t i = 0; i < wave && !stop; ++i) {
+      const std::size_t repeat = next_repeat + i;
       report.repeats = repeat + 1;
-      RepeatOutcome o = run_one_repeat(s, episodes, topo, repeat,
-                                       report.frames_judged, opts_,
-                                       /*live=*/true);
+      if (shards.metrics[i] == nullptr) continue;
+      RepeatOutcome& o = shards.results[i];
+      if (i > 0 &&
+          repeat_is_stopping(o, s, opts_, report.frames_judged)) {
+        o = run_one_repeat(s, episodes, topo, repeat, report.frames_judged,
+                           opts_, /*live=*/true);
+      } else {
+        obs::Registry::current().merge_from(*shards.metrics[i]);
+        // Span buffers follow the same consume-or-discard rule as shard
+        // metrics: a re-run repeat's detached buffer is dropped because
+        // the live re-run wrote the authoritative spans into the
+        // ambient collector.
+        if (obs::SpanCollector* sc = obs::SpanCollector::current();
+            sc != nullptr && i < shards.spans.size()) {
+          sc->merge_from(*shards.spans[i]);
+        }
+      }
       const bool stopped = o.stopped;
       consume_repeat(report, std::move(o));
-      if (stopped) break;
-      if (opts_.max_frames == 0) break;
-      if (report.frames_judged >= opts_.max_frames) break;
-      if ((repeat + 1) % checkpoint_every == 0) {
-        flush_checkpoint(repeat + 1);
-      }
+      stop = stopped || budget_spent();
     }
-  } else {
-    // Parallel campaign: waves of detached repeats fan across the pool,
-    // each under its own metric shard. Walking the wave in repeat order,
-    // clean repeats are consumed as-is (a detached pass with no stop
-    // event is bit-identical to the live pass, so shard metrics merge
-    // into the ambient registry and the outcome joins the report). The
-    // first repeat the serial campaign would have stopped in is re-run
-    // live on this thread with the real frame base — that re-run, not
-    // the detached shard, supplies the authoritative violations,
-    // coordinates, and metrics; the shard and everything after it in
-    // the wave are discarded. Net: the SoakReport and the ambient
-    // registry are bit-for-bit what the serial loop produces.
-    std::size_t next_repeat = start_repeat;
-    std::size_t last_flush = start_repeat;
-    bool stop = false;
-    while (!stop && next_repeat < max_repeats &&
-           report.frames_judged < opts_.max_frames) {
-      const std::size_t wave =
-          std::min(std::max<std::size_t>(1, threads),
-                   max_repeats - next_repeat);
-      // Captures by value only: `base` because this thread mutates
-      // next_repeat while detached attempts may still be running, and
-      // `ctx` so an abandoned attempt keeps the campaign state alive
-      // (run_sharded_resilient copies the callable into shared state
-      // that outlives this frame).
-      const std::size_t base = next_repeat;
-      const auto repeat_job = [ctx, base](const par::ShardInfo& info) {
-        const TopoCtx* job_topo =
-            ctx->topo.has_value() ? &*ctx->topo : nullptr;
-        return run_one_repeat(ctx->s, ctx->episodes, job_topo,
-                              base + info.index,
-                              /*campaign_base=*/0, ctx->opts,
-                              /*live=*/false);
-      };
-      par::Sharded<RepeatOutcome> shards;
-      par::DegradedReport wave_degraded;
-      if (resilient) {
-        // Fault-plan entries address campaign repeat numbers; re-base
-        // them onto this wave's shard indices.
-        par::FaultPlan windowed;
-        const par::FaultPlan* plan = nullptr;
-        if (opts_.fault_plan.has_value()) {
-          windowed = opts_.fault_plan->window(next_repeat, wave);
-          plan = &windowed;
-        }
-        shards = par::run_sharded_resilient(wave, threads, opts_.retry,
-                                            plan, repeat_job,
-                                            &wave_degraded);
-      } else {
-        shards = par::run_sharded_keep(wave, threads, repeat_job);
-      }
-      // Quarantined repeats: remap wave-local indices back to campaign
-      // repeat numbers and keep going — the campaign degrades, it does
-      // not abort. Their default-constructed outcomes are skipped below.
-      std::vector<char> lost(wave, 0);
-      for (const par::QuarantinedShard& q : wave_degraded.quarantined) {
-        lost[q.index] = 1;
-        report.degraded.quarantined.push_back(
-            {next_repeat + q.index, q.attempts, q.error});
-      }
-      report.degraded.retries += wave_degraded.retries;
-      report.degraded.stalls += wave_degraded.stalls;
-      for (std::size_t i = 0; i < wave; ++i) {
-        const std::size_t repeat = next_repeat + i;
-        report.repeats = repeat + 1;
-        if (lost[i] != 0) continue;
-        if (repeat_is_stopping(shards.results[i], s, opts_,
-                               report.frames_judged)) {
-          RepeatOutcome real =
-              run_one_repeat(s, episodes, topo, repeat,
-                             report.frames_judged, opts_, /*live=*/true);
-          const bool stopped = real.stopped;
-          consume_repeat(report, std::move(real));
-          if (stopped || report.frames_judged >= opts_.max_frames) {
-            stop = true;
-            break;
-          }
-          continue;
-        }
-        if (shards.metrics[i] != nullptr) {
-          obs::Registry::current().merge_from(*shards.metrics[i]);
-        }
-        // Span buffers follow the same consume-or-discard rule as shard
-        // metrics: clean repeats merge index-ordered; a stopping repeat's
-        // detached shard was discarded above because the live re-run
-        // already wrote the authoritative spans into the ambient
-        // collector.
-        if (i < shards.spans.size() && shards.spans[i] != nullptr) {
-          if (obs::SpanCollector* sc = obs::SpanCollector::current();
-              sc != nullptr) {
-            sc->merge_from(*shards.spans[i]);
-          }
-        }
-        consume_repeat(report, std::move(shards.results[i]));
-      }
-      next_repeat += wave;
-      if (!stop && next_repeat - last_flush >= checkpoint_every) {
-        flush_checkpoint(next_repeat);
-        last_flush = next_repeat;
-      }
+    next_repeat += wave;
+    if (!stop && next_repeat < max_repeats &&
+        next_repeat - last_flush >= checkpoint_every) {
+      flush_checkpoint(next_repeat);
+      last_flush = next_repeat;
     }
   }
 

@@ -58,25 +58,28 @@ struct SoakOptions {
   /// SoakReport::bundle_path.
   std::string bundle_dir;
 
-  /// Worker threads for timeline repeats (docs/PARALLELISM.md). 1 runs
-  /// the classic serial loop; 0 means "auto" (hardware_concurrency); N>1
-  /// fans detached repeats across a carpool::par pool and merges them in
-  /// repeat order, with the stopping repeat re-run serially so the
-  /// SoakReport — violations, coordinates, frame counts, obs metrics —
-  /// is bit-for-bit identical to threads=1 at any worker count. Only
-  /// frame-budget campaigns (max_frames > 0) have repeats to parallelise;
-  /// single-pass runs ignore this knob. Repro bundles and the shrinker
-  /// stay strictly serial-replayable either way.
+  /// Worker threads for timeline repeats (docs/PARALLELISM.md); 0 means
+  /// "auto" (hardware_concurrency). Repeats run in waves of this many
+  /// through carpool::par: a wave's first repeat runs live at its real
+  /// frame base, the rest detached, merged in repeat order, with the
+  /// first stopping detached repeat re-run live on the calling thread.
+  /// The SoakReport — violations, coordinates, frame counts, obs
+  /// metrics — is bit-for-bit identical at any worker count; at 1 every
+  /// wave is one live repeat. A single-pass run (max_frames == 0) is one
+  /// wave of one repeat whatever this says. Repro bundles and the
+  /// shrinker stay strictly serial-replayable either way.
   std::size_t threads = 1;
 
   // ----- fault tolerance (docs/FAULT_TOLERANCE.md) -----
 
-  /// Retry/watchdog policy for repeat shards. Default-disabled
-  /// (max_attempts 1, no watchdog): a throwing repeat kills the
-  /// campaign exactly as before. With retries enabled, repeats that
-  /// throw or stall are retried with attempt-local state (a successful
-  /// retry is bit-identical to a first-try success) and exhausted
-  /// repeats land in SoakReport::degraded instead of aborting.
+  /// Retry/watchdog policy for repeat shards, single-pass runs
+  /// included. Default-disabled (max_attempts 1, no watchdog): with no
+  /// fault plan either, a throwing repeat kills the campaign with its
+  /// own exception. With retries enabled (or a fault plan set), repeats
+  /// that throw or stall are retried with attempt-local state (a
+  /// successful retry is bit-identical to a first-try success) and
+  /// exhausted repeats land in SoakReport::degraded instead of
+  /// aborting.
   par::RetryPolicy retry{};
 
   /// Deterministic fault injection for the retry machinery (tests and

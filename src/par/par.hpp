@@ -8,15 +8,16 @@
 // jobs across a fixed-size thread pool and merges their outputs in
 // *stable job-index order*, so the aggregate — result vectors, obs
 // counters/gauges, float reductions — is bit-for-bit identical at any
-// thread count, including the serial threads=1 path.
+// thread count. One implementation, run_sharded_resilient, does every
+// fan-out; run_sharded is its ordered-merge wrapper.
 //
 // The determinism contract rests on three rules:
 //   1. Jobs are pure functions of their index (same seeds, same inputs,
 //      no shared mutable state between jobs).
-//   2. Each parallel job runs under a shard-local obs::Registry
-//      (Registry::ScopedCurrent), so instrumentation from concurrent
-//      shards never interleaves; shards merge into the ambient registry
-//      in job-index order after the pool drains.
+//   2. Every job — at threads=1 too — runs under a shard-local
+//      obs::Registry (Registry::ScopedCurrent), so instrumentation from
+//      concurrent shards never interleaves; shards merge into the
+//      ambient registry in job-index order after the pool drains.
 //   3. Float aggregates are reduced in job-index order (use KahanSum for
 //      new aggregations; the compensation makes long reductions stable
 //      without changing the order-determinism argument).
@@ -112,26 +113,17 @@ class ThreadPool {
   std::exception_ptr first_error_;
 };
 
-/// Coordinates handed to every sharded job.
+/// Coordinates handed to every sharded job. The job's shard-local
+/// registry (and span buffer, when collecting) is already installed as
+/// Registry::current() / SpanCollector::current() on its thread.
 struct ShardInfo {
   std::size_t index = 0;  ///< job index, the determinism coordinate
   std::size_t total = 0;  ///< job count in this sharded run
-  /// Shard-local metric scope (already installed as Registry::current()
-  /// on the worker thread), or nullptr in the inline threads<=1 path
-  /// where jobs write straight into the ambient registry exactly as a
-  /// serial program would.
-  obs::Registry* metrics = nullptr;
-  /// Shard-local span buffer (already installed as
-  /// obs::SpanCollector::current() on the worker thread). Non-null only
-  /// when the caller had a collector installed when fanning out; inline
-  /// jobs write straight into the ambient collector.
-  obs::SpanCollector* spans = nullptr;
 };
 
 /// A sharded run's raw output: per-job results plus each shard's private
-/// metric registry, both indexed by job. `metrics` is empty when the run
-/// executed inline (threads<=1) — the ambient registry already holds
-/// everything, which IS the serial code path.
+/// metric registry, both indexed by job. A quarantined shard's registry
+/// slot is null.
 template <class R>
 struct Sharded {
   std::vector<R> results;
@@ -192,8 +184,8 @@ struct FaultPlan {
 };
 
 /// Retry + watchdog policy for run_sharded_resilient. Disabled by
-/// default (max_attempts == 1, no watchdog): the resilient runner then
-/// degenerates to run_sharded_keep semantics.
+/// default (max_attempts == 1, no watchdog): every shard then gets one
+/// attempt, which is what run_sharded uses.
 struct RetryPolicy {
   std::size_t max_attempts = 1;  ///< total tries per shard (>= 1)
   double backoff_base_ms = 1.0;  ///< first retry delay before jitter
@@ -265,87 +257,29 @@ class InjectedFault : public std::runtime_error {
 /// most `threads` workers and return results + shard registries WITHOUT
 /// merging. Callers that consume only a prefix of the jobs (e.g. the soak
 /// runner discarding over-run repeats past a frame budget) merge the
-/// shard registries they actually keep, in index order.
+/// shard registries they actually keep, in index order. threads <= 1 (or
+/// a single job) runs the shards in index order on the calling thread,
+/// still each under its own registry. R must be default-constructible
+/// and movable.
 ///
-/// threads <= 1 (or a single job) runs every job inline on the calling
-/// thread, in index order, against the ambient registry: byte-for-byte
-/// the behaviour of the pre-parallel serial loops.
-///
-/// R must be default-constructible and movable. If any job throws, the
-/// lowest-index exception is rethrown after the pool drains (results and
-/// shard registries are discarded), matching a serial loop that died at
-/// the first failing job.
-template <class Fn>
-[[nodiscard]] auto run_sharded_keep(std::size_t jobs, std::size_t threads,
-                                    Fn&& fn)
-    -> Sharded<std::decay_t<std::invoke_result_t<Fn&, const ShardInfo&>>> {
-  using R = std::decay_t<std::invoke_result_t<Fn&, const ShardInfo&>>;
-  Sharded<R> out;
-  out.results.resize(jobs);
-  if (jobs == 0) return out;
-
-  const std::size_t workers = std::min(threads == 0 ? 1 : threads, jobs);
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < jobs; ++i) {
-      const ShardInfo info{i, jobs, nullptr};
-      out.results[i] = fn(info);
-    }
-    return out;
-  }
-
-  out.metrics.resize(jobs);
-  // Shard span buffers only when the caller is actually collecting spans
-  // (a collector is installed on the fanning thread); workers must not
-  // write into the caller's single-threaded collector.
-  const bool collect_spans = obs::SpanCollector::current() != nullptr;
-  if (collect_spans) out.spans.resize(jobs);
-  std::vector<std::exception_ptr> errors(jobs);
-  {
-    ThreadPool pool(workers);
-    for (std::size_t i = 0; i < jobs; ++i) {
-      out.metrics[i] = std::make_unique<obs::Registry>();
-      if (collect_spans) {
-        out.spans[i] = std::make_unique<obs::SpanCollector>();
-      }
-      pool.submit([&, i] {
-        const obs::Registry::ScopedCurrent scope(*out.metrics[i]);
-        std::optional<obs::SpanCollector::ScopedCurrent> span_scope;
-        if (out.spans.size() == jobs) span_scope.emplace(*out.spans[i]);
-        try {
-          const ShardInfo info{i, jobs, out.metrics[i].get(),
-                               out.spans.size() == jobs ? out.spans[i].get()
-                                                        : nullptr};
-          out.results[i] = fn(info);
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-      });
-    }
-    pool.wait();
-  }
-  for (const std::exception_ptr& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-  return out;
-}
-
-/// Fault-tolerant variant of run_sharded_keep (docs/FAULT_TOLERANCE.md):
-/// each shard gets up to `policy.max_attempts` tries, each attempt under
-/// an optional wall-clock watchdog, with deterministic seeded backoff
-/// between tries. Every attempt runs against *attempt-local* metric and
-/// span state that is committed into the returned Sharded<R> only on
-/// success, so a failed or abandoned attempt leaves zero trace in the
-/// merged output — a successful retry is bit-identical to a first-try
-/// success. Shards that exhaust the budget are quarantined: their result
-/// slots keep default-constructed values, their registry slots stay
-/// null, and they are listed in `*degraded` (which is always assigned
-/// when non-null). When `degraded == nullptr`, a quarantined shard
-/// instead rethrows (lowest index first), matching run_sharded_keep.
+/// Fault tolerance (docs/FAULT_TOLERANCE.md): each shard gets up to
+/// `policy.max_attempts` tries, each attempt under an optional wall-clock
+/// watchdog, with deterministic seeded backoff between tries. Every
+/// attempt runs against *attempt-local* metric and span state that is
+/// committed into the returned Sharded<R> only on success, so a failed
+/// or abandoned attempt leaves zero trace in the merged output — a
+/// successful retry is bit-identical to a first-try success. Shards that
+/// exhaust the budget are quarantined: their result slots keep
+/// default-constructed values, their registry slots stay null, and they
+/// are listed in `*degraded` (which is always assigned when non-null).
+/// When `degraded == nullptr`, the lowest-index quarantined shard's own
+/// exception is rethrown instead (a stall or torn result, which has
+/// none, throws std::runtime_error naming the shard), matching a serial
+/// loop that died at the first failing job.
 ///
 /// `faults`, when non-null, injects the planned failures — the test
-/// harness for this machinery. Unlike run_sharded_keep, the threads<=1
-/// path also uses attempt-local registries (committed in index order),
-/// so fault injection and retry behave identically at any thread count.
+/// harness for this machinery; fault injection and retry behave
+/// identically at any thread count.
 ///
 /// Ops counters (par.shard_retry / par.shard_stall /
 /// par.shard_quarantine) are recorded on the *calling* thread's ambient
@@ -384,6 +318,9 @@ template <class Fn>
     std::size_t stalls = 0;
     bool ok = false;
     std::string error;
+    /// The last failure's own exception; null after a stall or a torn
+    /// result, which have none.
+    std::exception_ptr exception;
   };
   std::vector<ShardState> states(jobs);
 
@@ -428,9 +365,7 @@ template <class Fn>
           std::optional<obs::SpanCollector::ScopedCurrent> span_scope;
           if (att->spans != nullptr) span_scope.emplace(*att->spans);
           try {
-            const ShardInfo info{i, jobs, att->metrics.get(),
-                                 att->spans.get()};
-            R r = (*shared_fn)(info);
+            R r = (*shared_fn)(ShardInfo{i, jobs});
             switch (fault) {
               case FaultKind::kThrow:
                 throw detail::InjectedFault("injected fault (shard " +
@@ -463,9 +398,11 @@ template <class Fn>
           ++st.stalls;
           st.error = "stall: watchdog expired after " +
                      std::to_string(policy.watchdog_seconds) + "s";
+          st.exception = nullptr;
           continue;
         }
         if (att->error != nullptr) {
+          st.exception = att->error;
           try {
             std::rethrow_exception(att->error);
           } catch (const std::exception& e) {
@@ -477,6 +414,7 @@ template <class Fn>
         }
         if (fault == FaultKind::kTorn) {
           st.error = "torn result (injected)";
+          st.exception = nullptr;
           continue;
         }
 
@@ -490,6 +428,7 @@ template <class Fn>
       }
     } catch (const std::exception& e) {
       st.ok = false;
+      st.exception = std::current_exception();
       try {
         st.error = e.what();
       } catch (...) {
@@ -497,6 +436,7 @@ template <class Fn>
       }
     } catch (...) {
       st.ok = false;
+      st.exception = std::current_exception();
     }
   };
 
@@ -535,6 +475,9 @@ template <class Fn>
 
   if (report.degraded() && degraded == nullptr) {
     const QuarantinedShard& first = report.quarantined.front();
+    if (states[first.index].exception != nullptr) {
+      std::rethrow_exception(states[first.index].exception);
+    }
     throw std::runtime_error("shard " + std::to_string(first.index) +
                              " failed after " +
                              std::to_string(first.attempts) +
@@ -544,26 +487,25 @@ template <class Fn>
   return out;
 }
 
-/// Deterministic sharded map: run_sharded_keep + merge every shard's
-/// metrics into the ambient registry (Registry::current()) in job-index
-/// order. This is the right call for sweeps that consume every job —
-/// bench rung ladders, parameter grids. Returns the per-job results.
+/// Deterministic sharded map: one attempt per job (no retry, no
+/// watchdog, the lowest-index exception rethrown), then every shard's
+/// metrics merged into the ambient registry (Registry::current()) in
+/// job-index order. This is the right call for sweeps that consume every
+/// job — bench rung ladders, parameter grids. Returns the per-job
+/// results.
 template <class Fn>
 [[nodiscard]] auto run_sharded(std::size_t jobs, std::size_t threads,
                                Fn&& fn)
     -> std::vector<std::decay_t<std::invoke_result_t<Fn&, const ShardInfo&>>> {
-  auto sharded = run_sharded_keep(jobs, threads, std::forward<Fn>(fn));
+  auto sharded = run_sharded_resilient(jobs, threads, RetryPolicy{}, nullptr,
+                                       std::forward<Fn>(fn));
   obs::Registry& target = obs::Registry::current();
-  for (const auto& shard : sharded.metrics) {
-    if (shard != nullptr) target.merge_from(*shard);
-  }
+  for (const auto& shard : sharded.metrics) target.merge_from(*shard);
   if (obs::SpanCollector* spans = obs::SpanCollector::current();
       spans != nullptr) {
     // Index-ordered like the metric merge, so the merged span sequence
     // (ids included) is bit-identical to a serial run's.
-    for (const auto& shard : sharded.spans) {
-      if (shard != nullptr) spans->merge_from(*shard);
-    }
+    for (const auto& shard : sharded.spans) spans->merge_from(*shard);
   }
   return std::move(sharded.results);
 }

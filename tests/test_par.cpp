@@ -298,18 +298,6 @@ TEST(RunSharded, MetricsBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(RunSharded, SerialPathUsesAmbientRegistryDirectly) {
-  obs::Registry scope;
-  const obs::Registry::ScopedCurrent current(scope);
-  auto out = par::run_sharded_keep(3, 1, [](const par::ShardInfo& info) {
-    EXPECT_EQ(info.metrics, nullptr);  // inline path: no shard registries
-    obs::Registry::current().counter("serial.jobs").add();
-    return info.index;
-  });
-  EXPECT_TRUE(out.metrics.empty());
-  EXPECT_EQ(scope.counter_value("serial.jobs"), 3u);
-}
-
 TEST(RunSharded, LowestIndexExceptionWins) {
   for (const std::size_t threads : {1u, 4u}) {
     try {
@@ -502,6 +490,20 @@ TEST(Retry, ExhaustedShardThrowsWithoutDegradedSink) {
                    4, 2, policy, &plan,
                    [](const par::ShardInfo& info) { return info.index; }),
                std::runtime_error);
+
+  // A job's own exception surfaces as itself, not as a wrapper.
+  try {
+    (void)par::run_sharded_resilient(
+        4, 2, policy, nullptr, [](const par::ShardInfo& info) {
+          if (info.index >= 2) {
+            throw std::logic_error("job " + std::to_string(info.index));
+          }
+          return info.index;
+        });
+    FAIL() << "expected a throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "job 2");
+  }
 }
 
 TEST(Retry, OpsCountersRecordRetriesAndQuarantines) {
@@ -709,6 +711,31 @@ TEST(SoakRunnerRetry, ExhaustedRepeatQuarantinedCampaignSurvives) {
     // The campaign still hit its frame budget on the surviving repeats.
     EXPECT_GE(got.frames_judged, opts.max_frames) << "threads=" << threads;
     EXPECT_GE(got.repeats, 4u) << "threads=" << threads;
+  }
+}
+
+TEST(SoakRunnerRetry, SinglePassCampaignRetries) {
+  // A single-pass campaign (max_frames == 0) is a wave of one repeat, so
+  // it retries a faulted repeat like any other campaign does.
+  std::uint64_t want_fp = 0;
+  const SoakReport want = run_scoped(budget_scenario(), {}, want_fp);
+  ASSERT_EQ(want.repeats, 1u);
+
+  par::FaultPlan plan;
+  plan.entries.push_back({0, 0, par::FaultKind::kThrow});
+  for (const std::size_t threads : {1u, 4u}) {
+    SoakOptions opts;
+    opts.threads = threads;
+    opts.retry.max_attempts = 2;
+    opts.retry.backoff_base_ms = 0.1;
+    opts.fault_plan = plan;
+    std::uint64_t fp = 0;
+    const SoakReport got = run_scoped(budget_scenario(), opts, fp);
+    expect_reports_identical(want, got,
+                             "single-pass threads=" + std::to_string(threads));
+    EXPECT_EQ(fp, want_fp) << "threads=" << threads;
+    EXPECT_EQ(got.degraded.retries, 1u) << "threads=" << threads;
+    EXPECT_FALSE(got.degraded.degraded()) << "threads=" << threads;
   }
 }
 
