@@ -496,13 +496,14 @@ RepeatOutcome run_one_repeat(const Scenario& s,
         cfg.num_stas = members.size();
         cfg.seed = sim::MultiBssSim::domain_seed(
             derive_seed(s.seed, repeat, ei), d, ei);
-        cfg.sta_snr_fn = [&s, topo, d, members, ep_start,
+        cfg.sta_snr_fn = [&s,
+                          sinr = sim::DomainSinr(topo->topo, d, members,
+                                                 topo->paths, ep_start),
+                          members, ep_start,
                           shadow](mac::NodeId local, double now) {
           const double t = ep_start + now;
           const mac::NodeId sta = members[local - 1];
-          const sim::MobilityPath& path = topo->paths[sta];
-          double snr =
-              topo->topo.sinr_db(d, topo->topo.position(sta, path, t));
+          double snr = sinr(local, now);
           if (!s.snr_trace.empty()) {
             snr = s.snr_trace.snr_at(static_cast<std::uint32_t>(sta), t,
                                      snr);

@@ -10,11 +10,6 @@
 #include "traffic/generators.hpp"
 
 namespace carpool::sim {
-namespace {
-
-const MobilityPath kNoPath;
-
-}  // namespace
 
 MultiBssSim::MultiBssSim(MultiBssConfig config)
     : config_(std::move(config)),
@@ -51,18 +46,9 @@ mac::SimConfig MultiBssSim::domain_config(
   cfg.num_stas = stas.size();
   cfg.duration = stop - start;
   cfg.seed = domain_seed(config_.seed, ap, epoch);
-  // Local STA `l` (1-based) is global STA stas[l-1]; its link quality is
-  // the topology SINR of this AP at the STA's position, evaluated on the
-  // campaign clock (epoch offset + domain-local now). Shadowing or trace
-  // overlays compose on top of this hook exactly as in the single-BSS
-  // path.
-  cfg.sta_snr_fn = [topo = &topo_, stas, paths = &config_.paths, ap,
-                    start](mac::NodeId local, double now) {
-    const mac::NodeId global = stas[local - 1];
-    const MobilityPath& path =
-        global < paths->size() ? (*paths)[global] : kNoPath;
-    return topo->sinr_db(ap, topo->position(global, path, start + now));
-  };
+  // Shadowing or trace overlays compose on top of this hook exactly as in
+  // the single-BSS path.
+  cfg.sta_snr_fn = DomainSinr(topo_, ap, stas, config_.paths, start);
   return cfg;
 }
 

@@ -14,9 +14,10 @@
 // fingerprints at any --threads count (docs/MULTI_AP.md,
 // docs/PARALLELISM.md).
 //
-// Co-channel interference enters through Topology::sinr_db wired into
-// each domain's SimConfig::sta_snr_fn, so the existing link-state,
-// shadowing, and PHY-error paths see multi-AP effects without change.
+// Co-channel interference enters through a DomainSinr (Topology::sinr_db
+// per domain STA) set as each domain's SimConfig::sta_snr_fn, so the
+// existing link-state, shadowing, and PHY-error paths see multi-AP
+// effects without change.
 
 #include <cstdint>
 #include <vector>
@@ -104,9 +105,11 @@ class MultiBssSim {
   [[nodiscard]] const Topology& topology() const noexcept { return topo_; }
 
   /// Build the per-domain SimConfig for (epoch slice [start, stop), AP):
-  /// derived seed, epoch-sliced duration, and an sta_snr_fn that maps the
-  /// domain's local STA ids through the topology's SINR at the STA's
-  /// current position. Exposed for the regression-anchor tests.
+  /// derived seed, epoch-sliced duration, and a DomainSinr as sta_snr_fn
+  /// (the SINR of `ap` at each local STA's position on the campaign
+  /// clock: computed once for a static STA, per judgement for a walker).
+  /// The returned hook points into this MultiBssSim, which must outlive
+  /// it. Exposed for the regression-anchor tests.
   [[nodiscard]] mac::SimConfig domain_config(
       std::size_t epoch, std::size_t ap, double start, double stop,
       const std::vector<mac::NodeId>& stas) const;

@@ -147,6 +147,27 @@ std::size_t Topology::associate(Point p, std::ptrdiff_t current) const {
   return best;
 }
 
+DomainSinr::DomainSinr(const Topology& topo, std::size_t ap,
+                       const std::vector<mac::NodeId>& stas,
+                       const std::vector<MobilityPath>& paths, double start)
+    : topo_(&topo), ap_(ap), start_(start) {
+  links_.reserve(stas.size());
+  for (const mac::NodeId sta : stas) {
+    if (sta < paths.size() && !paths[sta].empty()) {
+      links_.push_back(Link{&paths[sta], 0.0});
+    } else {
+      links_.push_back(
+          Link{nullptr, topo.sinr_db(ap, topo.home_position(sta))});
+    }
+  }
+}
+
+double DomainSinr::operator()(mac::NodeId local, double now) const {
+  const Link& link = links_[local - 1];
+  if (link.path == nullptr) return link.sinr_db;
+  return topo_->sinr_db(ap_, link.path->position_at(start_ + now));
+}
+
 AssociationTimeline::AssociationTimeline(
     const Topology& topo, std::size_t num_stas,
     const std::vector<MobilityPath>& paths, double duration) {

@@ -10,10 +10,10 @@
 //  2. Interference — what SINR does a STA see from a given AP once
 //     co-channel neighbours (same entry in the frequency reuse plan) are
 //     modelled as log-distance interferers with a duty-cycle
-//     `activity_factor`? The result feeds the existing
-//     SimConfig::sta_snr_fn hook, so every downstream consumer (link
-//     state machine, PHY error models, shadowing overlays) works
-//     unchanged.
+//     `activity_factor`? DomainSinr packages it for one collision
+//     domain as the existing SimConfig::sta_snr_fn hook, so every
+//     downstream consumer (link state machine, PHY error models,
+//     shadowing overlays) works unchanged.
 //  3. Association — which AP serves a STA at time t, with a roaming
 //     hysteresis so a walker does not flap between two equidistant APs?
 //     AssociationTimeline pre-computes piecewise-constant associations
@@ -122,6 +122,36 @@ class Topology {
   std::size_t grid_cols_ = 1;
   std::vector<Point> ap_pos_;
   std::vector<Point> scatter_;  ///< per-local-index offsets within a cell
+};
+
+/// The SINR one collision domain's STAs see from AP `ap`, shaped as a
+/// SimConfig::sta_snr_fn: local STA `l` (1-based) is global STA
+/// `stas[l-1]`, and `now` is domain-local time, so the STA sits at its
+/// campaign-clock position `start + now`. A STA without a MobilityPath
+/// (missing or empty `paths[sta]`) never moves, so its SINR is computed
+/// once here; a walker's is computed at every query. Both are the same
+/// Topology::sinr_db call on the same arguments as evaluating
+/// `sinr_db(ap, position(sta, path, start + now))` per judgement, so
+/// results are bit-identical. Keeps pointers to `topo` and to the walkers'
+/// entries of `paths`: both must outlive it.
+class DomainSinr {
+ public:
+  DomainSinr(const Topology& topo, std::size_t ap,
+             const std::vector<mac::NodeId>& stas,
+             const std::vector<MobilityPath>& paths, double start);
+
+  [[nodiscard]] double operator()(mac::NodeId local, double now) const;
+
+ private:
+  struct Link {
+    const MobilityPath* path = nullptr;  ///< walker's path; null = static
+    double sinr_db = 0.0;                ///< a static STA's SINR
+  };
+
+  const Topology* topo_;
+  std::size_t ap_;
+  double start_;
+  std::vector<Link> links_;  ///< links_[local - 1]
 };
 
 /// One constant-association span of a STA: it is served by `ap` over

@@ -9,9 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "mac/simulator.hpp"
@@ -32,6 +35,12 @@ using sim::Point;
 using sim::TimedPoint;
 using sim::Topology;
 using sim::TopologySpec;
+
+// Bit-for-bit equality of two doubles; EXPECT_DOUBLE_EQ allows 4 ULPs.
+void expect_same_bits(double a, double b, const std::string& label) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
+      << label << ": " << a << " vs " << b;
+}
 
 // ------------------------------------------------------------- topology
 
@@ -129,8 +138,8 @@ TEST(Topology, SinrEqualsSnrWithoutCochannelNeighbours) {
   spec.channel_count = 2;
   const Topology topo(spec);
   const Point p{3.0, 1.0};
-  EXPECT_DOUBLE_EQ(topo.sinr_db(0, p),
-                   topo.rx_power_dbm(0, p) - (-86.0));
+  expect_same_bits(topo.sinr_db(0, p), topo.rx_power_dbm(0, p) - (-86.0),
+                   "sinr_db");
 
   // Same geometry on one shared channel: the neighbour's power must cost
   // something.
@@ -213,11 +222,13 @@ TEST(AssociationTimeline, UnknownStaThrows) {
 void expect_results_identical(const mac::SimResult& a,
                               const mac::SimResult& b,
                               const std::string& label) {
-  EXPECT_DOUBLE_EQ(a.duration, b.duration) << label;
-  EXPECT_DOUBLE_EQ(a.downlink_goodput_bps, b.downlink_goodput_bps) << label;
-  EXPECT_DOUBLE_EQ(a.uplink_goodput_bps, b.uplink_goodput_bps) << label;
-  EXPECT_DOUBLE_EQ(a.mean_delay_s, b.mean_delay_s) << label;
-  EXPECT_DOUBLE_EQ(a.p95_delay_s, b.p95_delay_s) << label;
+  expect_same_bits(a.duration, b.duration, label + " duration");
+  expect_same_bits(a.downlink_goodput_bps, b.downlink_goodput_bps,
+                   label + " downlink_goodput_bps");
+  expect_same_bits(a.uplink_goodput_bps, b.uplink_goodput_bps,
+                   label + " uplink_goodput_bps");
+  expect_same_bits(a.mean_delay_s, b.mean_delay_s, label + " mean_delay_s");
+  expect_same_bits(a.p95_delay_s, b.p95_delay_s, label + " p95_delay_s");
   EXPECT_EQ(a.dl_frames_delivered, b.dl_frames_delivered) << label;
   EXPECT_EQ(a.dl_frames_dropped, b.dl_frames_dropped) << label;
   EXPECT_EQ(a.tx_attempts, b.tx_attempts) << label;
@@ -256,8 +267,62 @@ TEST(MultiBssSim, TwoNonOverlappingBssesReproduceSingleBssRuns) {
   }
 
   const double sum = res.per_ap_goodput_bps[0] + res.per_ap_goodput_bps[1];
-  EXPECT_DOUBLE_EQ(res.aggregate_goodput_bps, sum);
+  expect_same_bits(res.aggregate_goodput_bps, sum, "aggregate_goodput_bps");
   EXPECT_GT(res.aggregate_goodput_bps, 0.0);
+}
+
+// ------------------------------------------------------------ SINR hook
+
+TEST(MultiBssSim, SinrHookIsTopologySinrBitForBit) {
+  // The domain hook computes a static STA's SINR once and a walker's at
+  // every query; either way each value must be exactly Topology::sinr_db
+  // at the STA's campaign-clock position. Two walkers cross a 64-AP,
+  // 3-channel campus, and `paths` ends after them, so every other STA is
+  // static through a missing entry.
+  MultiBssConfig cfg;
+  cfg.topology.ap_count = 64;
+  cfg.topology.channel_count = 3;
+  cfg.topology.roam_interval = 0.02;
+  cfg.num_stas = 128;
+  cfg.duration = 0.2;
+  cfg.seed = 7;
+  cfg.paths.resize(3);
+  cfg.paths[1] = MobilityPath({{0.0, {1.0, 1.0}}, {0.2, {141.0, 141.0}}});
+  cfg.paths[2] = MobilityPath({{0.0, {141.0, 1.0}}, {0.2, {1.0, 141.0}}});
+  MultiBssSim multi(cfg);
+  const Topology& topo = multi.topology();
+  const MultiBssResult res = multi.run();
+  const std::size_t epochs = res.runs.size() / res.ap_count;
+  ASSERT_GE(epochs, 3u);
+
+  const MobilityPath no_path;
+  std::size_t walkers_checked = 0;
+  for (const std::size_t epoch : {std::size_t{0}, epochs / 2, epochs - 1}) {
+    for (std::size_t ap = 0; ap < res.ap_count; ++ap) {
+      const sim::DomainRun& run = res.runs[epoch * res.ap_count + ap];
+      if (run.stas.empty()) continue;
+      const mac::SimConfig domain =
+          multi.domain_config(run.epoch, run.ap, run.start, run.stop,
+                              run.stas);
+      for (std::size_t local = 1; local <= run.stas.size(); ++local) {
+        const mac::NodeId sta = run.stas[local - 1];
+        const MobilityPath& path =
+            sta < cfg.paths.size() ? cfg.paths[sta] : no_path;
+        if (!path.empty()) ++walkers_checked;
+        for (int k = 0; k <= 16; ++k) {
+          const double now = (run.stop - run.start) * k / 16.0;
+          expect_same_bits(
+              domain.sta_snr_fn(static_cast<mac::NodeId>(local), now),
+              topo.sinr_db(ap, topo.position(sta, path, run.start + now)),
+              "epoch=" + std::to_string(epoch) + " ap=" +
+                  std::to_string(ap) + " sta=" + std::to_string(sta) +
+                  " k=" + std::to_string(k));
+        }
+      }
+    }
+  }
+  // Each walker is served by exactly one AP in each checked epoch.
+  EXPECT_EQ(walkers_checked, 6u);
 }
 
 // --------------------------------------------- epoch / handover slicing
@@ -403,9 +468,9 @@ TEST(MultiBssSim, SixtyFourApCampaignBitIdenticalAcrossThreadCounts) {
     const std::uint64_t fp = campaign_fingerprint(cfg, parallel);
     const std::string label = "threads=" + std::to_string(threads);
     EXPECT_EQ(fp, serial_fp) << label;
-    EXPECT_DOUBLE_EQ(parallel.aggregate_goodput_bps,
-                     serial.aggregate_goodput_bps)
-        << label;
+    expect_same_bits(parallel.aggregate_goodput_bps,
+                     serial.aggregate_goodput_bps,
+                     label + " aggregate_goodput_bps");
     EXPECT_EQ(parallel.dl_frames_delivered, serial.dl_frames_delivered)
         << label;
     EXPECT_EQ(parallel.collisions, serial.collisions) << label;

@@ -139,6 +139,14 @@ std::vector<FileReport> build_reports(const std::vector<fs::path>& run_dirs,
                                       double sigma) {
   std::vector<FileReport> reports;
   for (const std::string& name : files) {
+    if (std::none_of(run_dirs.begin(), run_dirs.end(),
+                     [&](const fs::path& dir) {
+                       return fs::exists(dir / name);
+                     })) {
+      std::fprintf(stderr, "bench_report: %s: no baseline (skipped)\n",
+                   name.c_str());
+      continue;
+    }
     const auto base = aggregate_baseline(run_dirs, name);
     if (base.empty()) {
       std::fprintf(stderr, "bench_report: %s: baseline parse failure "
