@@ -263,10 +263,6 @@ CarpoolRxResult CarpoolReceiver::receive_impl(
   const auto bloom =
       AggregationBloomFilter::from_bits(ahdr_bits, config_.bloom_hashes);
   result.matched = bloom.matched_subframes(config_.self);
-  OBS_TRACE(config_.trace,
-            obs_ts.event("phy.ahdr")
-                .f("matched",
-                   static_cast<std::uint64_t>(result.matched.size())));
   if (result.matched.empty()) {
     result.status = DecodeStatus::kAhdrMiss;
     return result;  // drop without decoding
@@ -340,18 +336,9 @@ CarpoolRxResult CarpoolReceiver::receive_impl(
     side.set_reference_phase(prev_phase);
     std::vector<PendingPilot> pending;
 
-    auto handle_side = [&](const SideChannelDecoder::SymbolOutcome& outcome,
-                           std::size_t group_end_sym) {
-      if (!outcome.group_verified.has_value()) {
-        static_cast<void>(group_end_sym);  // only read by tracing
-        return;
-      }
+    auto handle_side = [&](const SideChannelDecoder::SymbolOutcome& outcome) {
+      if (!outcome.group_verified.has_value()) return;
       sub.group_verified.push_back(*outcome.group_verified);
-      OBS_TRACE(config_.trace,
-                obs_ts.event("phy.side_crc")
-                    .f("sym", static_cast<std::uint64_t>(group_end_sym))
-                    .f("subframe", static_cast<std::uint64_t>(k))
-                    .f("ok", *outcome.group_verified));
       if (!*outcome.group_verified) {
         ++failed_groups;
         if (config_.use_rte && config_.rte_freeze_after > 0 &&
@@ -367,12 +354,6 @@ CarpoolRxResult CarpoolReceiver::receive_impl(
           obs::Registry& reg = obs::Registry::current();
           reg.counter("phy.rte_freeze").add();
           reg.counter("phy.rte_rollback").add();
-          OBS_TRACE(config_.trace,
-                    obs_ts.event("phy.rte_freeze")
-                        .f("sym", static_cast<std::uint64_t>(group_end_sym))
-                        .f("subframe", static_cast<std::uint64_t>(k))
-                        .f("failed_groups",
-                           static_cast<std::uint64_t>(failed_groups)));
         }
         pending.clear();
         return;
@@ -403,11 +384,6 @@ CarpoolRxResult CarpoolReceiver::receive_impl(
               .counter("phy.rte_delta_clamped")
               .add(clamped);
         }
-        OBS_TRACE(config_.trace,
-                  obs_ts.event("phy.rte_update")
-                      .f("sym", static_cast<std::uint64_t>(group_end_sym))
-                      .f("subframe", static_cast<std::uint64_t>(k))
-                      .f("pilots", static_cast<std::uint64_t>(applied)));
       }
       pending.clear();
     };
@@ -420,13 +396,7 @@ CarpoolRxResult CarpoolReceiver::receive_impl(
       const double sig_evm = evm(sig_eq.data, sig_ref);
       pending.push_back(PendingPilot{sig_bins, std::move(sig_ref),
                                      sig_eq.phase_offset, sym_idx, sig_evm});
-      OBS_TRACE(config_.trace,
-                obs_ts.event("phy.symbol")
-                    .f("sym", static_cast<std::uint64_t>(sym_idx))
-                    .f("subframe", static_cast<std::uint64_t>(k))
-                    .f("kind", "sig")
-                    .f("evm", sig_evm));
-      handle_side(outcome, sym_idx);
+      handle_side(outcome);
     }
     prev_phase = sig_eq.phase_offset;
 
@@ -450,14 +420,7 @@ CarpoolRxResult CarpoolReceiver::receive_impl(
         pending.push_back(PendingPilot{CxVec(bins.begin(), bins.end()),
                                        std::move(ref), eq.phase_offset,
                                        sym_idx + 1 + j, sym_evm});
-        OBS_TRACE(config_.trace,
-                  obs_ts.event("phy.symbol")
-                      .f("sym", static_cast<std::uint64_t>(sym_idx + 1 + j))
-                      .f("subframe", static_cast<std::uint64_t>(k))
-                      .f("data_sym", static_cast<std::uint64_t>(j))
-                      .f("kind", "data")
-                      .f("evm", sym_evm));
-        handle_side(outcome, sym_idx + 1 + j);
+        handle_side(outcome);
       }
       prev_phase = eq.phase_offset;
     }
@@ -479,15 +442,6 @@ CarpoolRxResult CarpoolReceiver::receive_impl(
     reg.counter("phy.subframes_decoded").add();
     obs::Counter& fcs_failures = reg.counter("phy.fcs_failures");
     if (!sub.fcs_ok) fcs_failures.add();
-    OBS_TRACE(config_.trace,
-              obs_ts.event("phy.subframe")
-                  .f("subframe", static_cast<std::uint64_t>(k))
-                  .f("symbols", static_cast<std::uint64_t>(1 + n_avail))
-                  .f("decoded", sub.decoded)
-                  .f("fcs_ok", sub.fcs_ok)
-                  .f("status", to_string(sub.status))
-                  .f("rte_updates",
-                     static_cast<std::uint64_t>(sub.rte_updates)));
     result.symbols_full_decoded += 1 + n_avail;
     result.subframes.push_back(std::move(sub));
     if (truncated) {

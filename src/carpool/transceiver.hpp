@@ -20,7 +20,6 @@
 #include "carpool/ahdr.hpp"
 #include "carpool/side_channel.hpp"
 #include "common/mac_address.hpp"
-#include "obs/trace.hpp"
 #include "phy/frame.hpp"
 
 namespace carpool {
@@ -89,12 +88,6 @@ struct CarpoolRxConfig {
   /// `phy.rte_delta_clamped`). Bounds the damage of any single false
   /// accept. 0 disables the bound.
   double rte_max_delta = 4.0;
-
-  /// Optional JSONL event sink: per-symbol EVM (`phy.symbol`), side-channel
-  /// CRC verdicts (`phy.side_crc`), RTE updates (`phy.rte_update`), and
-  /// A-HDR match outcomes (`phy.ahdr`). Only consulted when the binary was
-  /// built with CARPOOL_ENABLE_TRACE=ON; not owned by the receiver.
-  obs::TraceSink* trace = nullptr;
 };
 
 /// Decode outcome of one matched subframe.

@@ -95,7 +95,6 @@ SimResult DomainSim::run() {
   // sequential-ACK outcome below; it consumes no randomness.
   LinkStateMachine links(config_.link_policy, config_.num_stas,
                          p.data_rate_bps);
-  links.set_trace(config_.trace);
   for (NodeId sta = 1; sta <= config_.num_stas; ++sta) {
     links.observe_snr(sta, sta_snr(sta));
   }
@@ -234,14 +233,8 @@ SimResult DomainSim::run() {
     // Expire overdue downlink frames.
     if (std::isfinite(config_.delivery_deadline)) {
       sample_queue_depth(now);
-      const std::uint64_t expired =
+      result.dl_frames_dropped +=
           ap_queues.drop_expired(now, config_.delivery_deadline);
-      result.dl_frames_dropped += expired;
-      if (expired > 0) {
-        OBS_TRACE(config_.trace, obs_ts.event("mac.deadline_drop")
-                                     .f("t", now)
-                                     .f("frames", expired));
-      }
     }
 
     // 2. active contenders.
@@ -263,12 +256,6 @@ SimResult DomainSim::run() {
       BackoffState& b = node == kApNode ? ap_backoff : sta_backoff[node];
       if (b.counter < 0) {
         b.draw(backoff_rng, node == kApNode ? effective_ap_cw() : b.cw);
-        OBS_TRACE(config_.trace,
-                  obs_ts.event("mac.backoff_draw")
-                      .f("t", now)
-                      .f("node", static_cast<std::uint64_t>(node))
-                      .f("cw", static_cast<std::uint64_t>(b.cw))
-                      .f("counter", static_cast<std::int64_t>(b.counter)));
       }
     }
 
@@ -375,12 +362,6 @@ SimResult DomainSim::run() {
       }
       busy += p.sifs + p.ack_duration();  // timeout
       result.airtime_collision += busy;
-      OBS_TRACE(config_.trace,
-                obs_ts.event("mac.collision")
-                    .f("t", now)
-                    .f("kind", "slot_tie")
-                    .f("winners", static_cast<std::uint64_t>(n_winners))
-                    .f("busy_s", busy));
 
       for (std::size_t w = 0; w < n_winners; ++w) {
         const NodeId node = winners[w];
@@ -443,19 +424,6 @@ SimResult DomainSim::run() {
     const double ctrl = control_time(tx);
     const double sequence = ctrl + tx.total_duration();
     const bool is_downlink = src == kApNode;
-    if (obs::trace_compiled_in() && config_.trace != nullptr) {
-      std::uint64_t n_frames = 0;
-      for (const SubUnit& su : tx.subunits) n_frames += su.frames.size();
-      OBS_TRACE(config_.trace,
-                obs_ts.event("mac.tx_start")
-                    .f("t", now)
-                    .f("src", static_cast<std::uint64_t>(src))
-                    .f("downlink", is_downlink)
-                    .f("subunits",
-                       static_cast<std::uint64_t>(tx.subunits.size()))
-                    .f("frames", n_frames)
-                    .f("duration_s", sequence));
-    }
 
     // Hidden terminals: an active STA that cannot sense `src` keeps
     // counting down and fires into the ongoing transmission. With RTS/CTS
@@ -479,13 +447,6 @@ SimResult DomainSim::run() {
         const double busy =
             vulnerable + p.sifs + p.ack_duration();  // timeout
         result.airtime_collision += busy;
-        OBS_TRACE(config_.trace,
-                  obs_ts.event("mac.collision")
-                      .f("t", now)
-                      .f("kind", "hidden_terminal")
-                      .f("src", static_cast<std::uint64_t>(src))
-                      .f("intruder", static_cast<std::uint64_t>(intruder))
-                      .f("busy_s", busy));
         energy[src].add_tx(vulnerable);
         // Both parties lose their frames (retry accounting).
         auto requeue_loser = [&](NodeId node, Transmission& lost) {
@@ -630,21 +591,11 @@ SimResult DomainSim::run() {
           }
         }
       }
-      // Sequential-ACK outcome for this receiver (paper Sec. 4.2): which
-      // of its frames got through, and whether the ACK itself survived.
-      OBS_TRACE(config_.trace,
-                obs_ts.event("mac.ack")
-                    .f("t", now + sequence)
-                    .f("receiver", static_cast<std::uint64_t>(peer))
-                    .f("ack_ok", ack_ok)
-                    .f("delivered", any_delivered)
-                    .f("frames_ok", frames_ok)
-                    .f("frames_failed",
-                       static_cast<std::uint64_t>(failed.size()))
-                    .f("frames_dropped", frames_dropped));
       // Subframe span: this receiver's symbol slice of the aggregate
-      // frame plus its sequential-ACK outcome. The whole interval is
-      // known here, so it is emitted directly rather than held open.
+      // frame plus its sequential-ACK outcome (paper Sec. 4.2): whether
+      // any of its frames got through, and whether the ACK itself
+      // survived. The whole interval is known here, so it is emitted
+      // directly rather than held open.
       if (obs::SpanCollector* sc = obs::SpanCollector::current();
           sc != nullptr) {
         obs::SpanRecord rec;
@@ -688,12 +639,6 @@ SimResult DomainSim::run() {
       if (!failed.empty()) {
         // Partial-ACK selective retransmission: only the failed MPDUs
         // return to the head of their queue.
-        OBS_TRACE(config_.trace,
-                  obs_ts.event("mac.retransmit")
-                      .f("t", now + sequence)
-                      .f("receiver", static_cast<std::uint64_t>(peer))
-                      .f("frames",
-                         static_cast<std::uint64_t>(failed.size())));
         SubUnit back = su;
         back.frames = std::move(failed);
         if (is_downlink) {
@@ -707,13 +652,6 @@ SimResult DomainSim::run() {
       }
     }
 
-    OBS_TRACE(config_.trace,
-              obs_ts.event("mac.tx_end")
-                  .f("t", now + sequence)
-                  .f("src", static_cast<std::uint64_t>(src))
-                  .f("ok_subunits",
-                     static_cast<std::uint64_t>(ok_subunits))
-                  .f("delivered_bits", delivered_payload_bits));
     txop_span.outcome(ok_subunits > 0 ? "ok" : "failed");
     frame_span.outcome(ok_subunits > 0 ? "ok" : "failed");
 

@@ -150,18 +150,12 @@ void LinkStateMachine::set_health(StaLinkState& s, NodeId sta, LinkHealth to,
   s.health = to;
   ++transition_count_;
   obs::Registry::current().counter("mac.ls_transition").add();
-  const double rate =
-      (policy_.rate_adaptation || policy_.feedback) ? kHtRates[s.rate_index]
-                                                    : default_rate_bps_;
   if (policy_.record_transitions) {
+    const double rate = (policy_.rate_adaptation || policy_.feedback)
+                            ? kHtRates[s.rate_index]
+                            : default_rate_bps_;
     log_.push_back(LinkTransition{when, sta, from, to, rate});
   }
-  OBS_TRACE(trace_, obs_ts.event("mac.ls_transition")
-                        .f("t", when)
-                        .f("sta", static_cast<std::uint64_t>(sta))
-                        .f("from", link_health_name(from))
-                        .f("to", link_health_name(to))
-                        .f("rate_bps", rate));
 }
 
 void LinkStateMachine::settle_delivering_health(StaLinkState& s, NodeId sta,
@@ -177,10 +171,6 @@ void LinkStateMachine::suspend(StaLinkState& s, NodeId sta, double when) {
   s.timeout = std::min(2.0 * s.timeout, policy_.max_timeout);
   ++suspensions_;
   obs::Registry::current().counter("mac.lq_suspend").add();
-  OBS_TRACE(trace_, obs_ts.event("mac.lq_suspend")
-                        .f("t", when)
-                        .f("sta", static_cast<std::uint64_t>(sta))
-                        .f("until", s.suspended_until));
   set_health(s, sta, LinkHealth::kSuspended, when);
 }
 
@@ -261,9 +251,6 @@ void LinkStateMachine::advance(double now) {
       s.suspended_until = 0.0;
       ++probes_;
       obs::Registry::current().counter("mac.lq_probe").add();
-      OBS_TRACE(trace_, obs_ts.event("mac.lq_probe")
-                            .f("t", now)
-                            .f("sta", static_cast<std::uint64_t>(sta)));
       set_health(s, sta, LinkHealth::kProbing, now);
     }
   }

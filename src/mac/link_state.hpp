@@ -49,7 +49,6 @@
 #include <vector>
 
 #include "mac/frame.hpp"
-#include "obs/trace.hpp"
 
 namespace carpool {
 struct CarpoolRxResult;  // carpool/transceiver.hpp
@@ -211,10 +210,6 @@ class LinkStateMachine {
   LinkStateMachine(const LinkPolicyConfig& policy, std::size_t num_stas,
                    double default_rate_bps);
 
-  /// Optional JSONL sink for mac.ls_transition / mac.lq_* events (not
-  /// owned; only consulted when tracing is compiled in).
-  void set_trace(obs::TraceSink* sink) noexcept { trace_ = sink; }
-
   /// Fold an SNR observation into the smoothed estimate (EWMA). Also used
   /// to seed initial link SNRs. Raises the rate ceiling immediately; a
   /// feedback-degraded rate stays until successes probe it back up.
@@ -272,7 +267,6 @@ class LinkStateMachine {
   double default_rate_bps_;
   std::size_t default_rate_index_;  ///< ladder entry point for feedback
   std::vector<StaLinkState> states_;  ///< index = NodeId; [0] unused (AP)
-  obs::TraceSink* trace_ = nullptr;
 
   std::uint64_t suspensions_ = 0;
   std::uint64_t probes_ = 0;

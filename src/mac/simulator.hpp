@@ -25,7 +25,6 @@
 #include "mac/params.hpp"
 #include "mac/phy_model.hpp"
 #include "mac/scheme.hpp"
-#include "obs/trace.hpp"
 
 namespace carpool::mac {
 
@@ -133,13 +132,6 @@ struct SimConfig {
   std::size_t wifox_backlog_threshold = 4;
 
   std::shared_ptr<const PhyErrorModel> phy;  ///< defaults to Analytic
-
-  /// Optional JSONL event sink for per-event MAC visibility: tx start/end,
-  /// collisions, per-receiver sequential-ACK outcomes, partial-ACK
-  /// retransmissions, deadline drops, and backoff redraws (see
-  /// docs/OBSERVABILITY.md for the schema). Only consulted when the binary
-  /// was built with CARPOOL_ENABLE_TRACE=ON; not owned by the simulator.
-  obs::TraceSink* trace = nullptr;
 };
 
 struct NodeEnergy {

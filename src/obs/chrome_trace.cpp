@@ -177,6 +177,7 @@ bool ChromeTraceWriter::write(const std::string& path,
   std::ofstream out(path, std::ios::trunc);
   if (!out) return false;
   out << to_json(records);
+  out.close();  // flush here: a failed final write must not count as success
   return static_cast<bool>(out);
 }
 

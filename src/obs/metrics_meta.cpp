@@ -155,13 +155,10 @@ constexpr std::array kCatalog{
                   "Campaigns resumed from a checkpoint"}},
 
     // --- obs: the observability layer itself ---
-    // Cap overflows are collection bookkeeping, not simulation events: a
+    // A cap overflow is collection bookkeeping, not a simulation event: a
     // resumed campaign re-collects spans only for its remaining repeats,
-    // so drop counts legitimately differ from an uninterrupted run's.
-    // The "ops" layer keeps them out of Registry::fingerprint().
-    CatalogEntry{"obs.trace_dropped",
-                 {"count", "ops",
-                  "Trace events dropped at the TraceSink max-event cap"}},
+    // so the drop count legitimately differs from an uninterrupted run's.
+    // The "ops" layer keeps it out of Registry::fingerprint().
     CatalogEntry{"obs.spans_dropped",
                  {"count", "ops",
                   "Spans dropped at the SpanCollector record cap"}},

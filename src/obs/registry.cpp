@@ -459,6 +459,7 @@ bool Registry::write_json(const std::string& path,
   std::ofstream out(path, std::ios::trunc);
   if (!out) return false;
   out << to_json(bench);
+  out.close();  // flush here: a failed final write must not count as success
   return static_cast<bool>(out);
 }
 

@@ -126,23 +126,6 @@ std::uint64_t SpanCollector::fingerprint() const {
   return h;
 }
 
-void SpanCollector::write_jsonl(TraceSink& sink) const {
-  for (const SpanRecord& r : records_) {
-    TraceEvent ev = sink.event("span");
-    ev.f("id", r.id).f("parent", r.parent).f("name", r.name);
-    if (r.ids.txop >= 0) ev.f("txop", r.ids.txop);
-    if (r.ids.frame >= 0) ev.f("frame", r.ids.frame);
-    if (r.ids.subframe >= 0) ev.f("subframe", r.ids.subframe);
-    if (r.ids.sta >= 0) ev.f("sta", r.ids.sta);
-    if (r.on_sim_timeline()) {
-      ev.f("sim_start", r.sim_start).f("sim_duration", r.sim_duration);
-    } else {
-      ev.f("wall_start_ns", r.wall_start_ns).f("wall_ns", r.wall_ns);
-    }
-    if (!r.outcome.empty()) ev.f("outcome", r.outcome);
-  }
-}
-
 void SpanCollector::clear() {
   records_.clear();
   stack_.clear();

@@ -28,10 +28,9 @@
 // fields (wall_start_ns / wall_ns) are excluded from fingerprint(); the
 // sim-time fields, ids, names, and outcomes are all deterministic.
 //
-// Exporters: write_jsonl() streams one `"type":"span"` object per line
-// into the existing TraceSink, and obs::ChromeTraceWriter
-// (chrome_trace.hpp) converts records into a Chrome trace-event file
-// that opens directly in Perfetto / chrome://tracing.
+// Export: obs::ChromeTraceWriter (chrome_trace.hpp) converts records
+// into a Chrome trace-event file that opens directly in Perfetto /
+// chrome://tracing.
 
 #include <algorithm>
 #include <cstdint>
@@ -39,9 +38,17 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/trace.hpp"
+// The CMake option CARPOOL_ENABLE_TRACE defines CARPOOL_TRACE_ENABLED=1.
+#ifndef CARPOOL_TRACE_ENABLED
+#define CARPOOL_TRACE_ENABLED 0
+#endif
 
 namespace carpool::obs {
+
+/// True when span call sites are compiled into this binary.
+constexpr bool trace_compiled_in() noexcept {
+  return CARPOOL_TRACE_ENABLED != 0;
+}
 
 /// Frame-lifecycle coordinates a span carries. -1 = not applicable.
 struct SpanIds {
@@ -154,10 +161,6 @@ class SpanCollector {
   /// runs of a deterministic workload must produce equal fingerprints
   /// at any thread count.
   [[nodiscard]] std::uint64_t fingerprint() const;
-
-  /// Stream every record into `sink` as one `"type":"span"` JSONL
-  /// object per line (schema in docs/OBSERVABILITY.md).
-  void write_jsonl(TraceSink& sink) const;
 
   void clear();
 

@@ -93,6 +93,7 @@ bool StatsWriter::write_csv(const std::string& path,
   std::ofstream out(path, std::ios::trunc);
   if (!out) return false;
   out << to_csv(registry.snapshot());
+  out.close();  // flush here: a failed final write must not count as success
   return static_cast<bool>(out);
 }
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -8,63 +11,19 @@
 
 #include "carpool/transceiver.hpp"
 #include "channel/fading.hpp"
+#include "chaos/json.hpp"
 #include "common/rng.hpp"
 #include "mac/simulator.hpp"
+#include "obs/chrome_trace.hpp"
 #include "obs/registry.hpp"
+#include "obs/span.hpp"
 #include "obs/stats_writer.hpp"
 #include "obs/timer.hpp"
-#include "obs/trace.hpp"
 #include "phy/frame.hpp"
 #include "traffic/generators.hpp"
 
 namespace carpool {
 namespace {
-
-/// Minimal structural JSON check: first/last character, balanced braces
-/// and brackets outside strings, terminated strings, no stray escapes.
-bool json_balanced(std::string_view text) {
-  if (text.empty()) return false;
-  long braces = 0, brackets = 0;
-  bool in_string = false, escaped = false;
-  for (const char c : text) {
-    if (in_string) {
-      if (escaped) {
-        escaped = false;
-      } else if (c == '\\') {
-        escaped = true;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    switch (c) {
-      case '"':
-        in_string = true;
-        break;
-      case '{':
-        ++braces;
-        break;
-      case '}':
-        --braces;
-        break;
-      case '[':
-        ++brackets;
-        break;
-      case ']':
-        --brackets;
-        break;
-      default:
-        break;
-    }
-    if (braces < 0 || brackets < 0) return false;
-  }
-  return braces == 0 && brackets == 0 && !in_string;
-}
-
-bool valid_jsonl_object(std::string_view line) {
-  return !line.empty() && line.front() == '{' && line.back() == '}' &&
-         json_balanced(line);
-}
 
 std::vector<std::string> split_lines(const std::string& text) {
   std::vector<std::string> lines;
@@ -156,7 +115,7 @@ TEST(Registry, JsonExportWellFormed) {
   reg.set_gauge("b.value", 1.25);
   reg.histogram("c.lat", {1.0, 10.0}, "ns").record(3.0);
   const std::string json = reg.to_json("unit_test");
-  EXPECT_TRUE(json_balanced(json)) << json;
+  EXPECT_TRUE(chaos::json_parse(json).ok()) << json;
   EXPECT_NE(json.find("\"schema_version\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"bench\": \"unit_test\""), std::string::npos);
   EXPECT_NE(json.find("\"a.count\": 2"), std::string::npos);
@@ -173,7 +132,7 @@ TEST(Registry, CatalogedMetricsExportMetadata) {
   reg.set_gauge("fig13.bpsk.rte_on_ber", 0.1);  // cataloged prefix family
   reg.counter("made.up.name").add();            // uncataloged
   const std::string json = reg.to_json();
-  EXPECT_TRUE(json_balanced(json)) << json;
+  EXPECT_TRUE(chaos::json_parse(json).ok()) << json;
   EXPECT_NE(json.find("\"mac.ls_transition\": {\"unit\""), std::string::npos);
   EXPECT_NE(json.find("\"fig13.bpsk.rte_on_ber\": {\"unit\""),
             std::string::npos);
@@ -242,7 +201,7 @@ TEST(StatsWriter, WriteCsvRoundTrips) {
 
 TEST(Registry, EmptyRegistryExportsWellFormedJson) {
   const obs::Registry reg;
-  EXPECT_TRUE(json_balanced(reg.to_json()));
+  EXPECT_TRUE(chaos::json_parse(reg.to_json()).ok());
 }
 
 TEST(Registry, TextExportMentionsEveryMetric) {
@@ -264,119 +223,23 @@ TEST(Registry, WriteJsonToFile) {
   std::ifstream in(path);
   std::stringstream buf;
   buf << in.rdbuf();
-  EXPECT_TRUE(json_balanced(buf.str()));
+  EXPECT_TRUE(chaos::json_parse(buf.str()).ok()) << buf.str();
   EXPECT_NE(buf.str().find("\"file.count\": 5"), std::string::npos);
 }
 
-TEST(TraceSink, MemorySinkWritesValidJsonl) {
-  obs::TraceSink sink;
-  sink.event("alpha").f("t", 1.5).f("n", std::uint64_t{3}).f("ok", true);
-  sink.event("beta").f("s", "quote\"and\\slash").f("neg", -2);
-  EXPECT_EQ(sink.events_written(), 2u);
-  const auto lines = split_lines(sink.str());
-  ASSERT_EQ(lines.size(), 2u);
-  for (const auto& line : lines) {
-    EXPECT_TRUE(valid_jsonl_object(line)) << line;
-  }
-  EXPECT_NE(lines[0].find("\"type\":\"alpha\""), std::string::npos);
-  EXPECT_NE(lines[1].find("\\\"and\\\\slash"), std::string::npos);
-}
-
-TEST(TraceSink, FileSinkRoundTrip) {
-  const std::string path = testing::TempDir() + "obs_trace.jsonl";
-  {
-    obs::TraceSink sink(path);
-    sink.event("one").f("i", 1);
-    sink.event("two").f("i", 2);
-    sink.flush();
-  }
-  std::ifstream in(path);
-  std::string line;
-  std::size_t n = 0;
-  while (std::getline(in, line)) {
-    EXPECT_TRUE(valid_jsonl_object(line)) << line;
-    ++n;
-  }
-  EXPECT_EQ(n, 2u);
-}
-
-TEST(TraceSink, AppendModeAccumulatesAcrossOpens) {
-  const std::string path = testing::TempDir() + "obs_trace_append.jsonl";
-  {
-    obs::TraceSink sink(path);  // default: truncate
-    sink.event("first").f("i", 1);
-  }
-  {
-    obs::TraceSink::Options options;
-    options.append = true;
-    obs::TraceSink sink(path, options);
-    sink.event("second").f("i", 2);
-  }
-  std::ifstream in(path);
-  std::string line;
-  std::vector<std::string> lines;
-  while (std::getline(in, line)) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_NE(lines[0].find("\"type\":\"first\""), std::string::npos);
-  EXPECT_NE(lines[1].find("\"type\":\"second\""), std::string::npos);
-  // Re-opening without append truncates again.
-  {
-    obs::TraceSink sink(path);
-    sink.event("third").f("i", 3);
-  }
-  std::ifstream again(path);
-  lines.clear();
-  while (std::getline(again, line)) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_NE(lines[0].find("\"type\":\"third\""), std::string::npos);
-}
-
-TEST(TraceSink, MaxEventsCapDropsAndCounts) {
+// A full device accepts open() and buffered writes but fails the flush,
+// so this is the case where success must be decided after close().
+TEST(ObsWriters, ReportFailureWhenTheFinalFlushFails) {
+  const std::string path = "/dev/full";
+  if (!std::filesystem::exists(path)) GTEST_SKIP() << path << " is absent";
   obs::Registry reg;
-  const obs::Registry::ScopedCurrent scope(reg);
-  obs::TraceSink::Options options;
-  options.max_events = 2;
-  obs::TraceSink sink(options);
-  for (int i = 0; i < 5; ++i) sink.event("e").f("i", i);
-  EXPECT_EQ(sink.events_written(), 2u);
-  EXPECT_EQ(sink.dropped(), 3u);
-  EXPECT_EQ(reg.counter_value("obs.trace_dropped"), 3u);
-  const auto lines = split_lines(sink.str());
-  ASSERT_EQ(lines.size(), 2u);
-  EXPECT_NE(lines[1].find("\"i\":1"), std::string::npos);
-}
-
-TEST(TraceSink, ConcurrentWritersProduceIntactLines) {
-  obs::TraceSink sink;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&sink, t] {
-      for (int i = 0; i < 500; ++i) {
-        sink.event("thread").f("t", t).f("i", i);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const auto lines = split_lines(sink.str());
-  EXPECT_EQ(lines.size(), 2000u);
-  for (const auto& line : lines) {
-    ASSERT_TRUE(valid_jsonl_object(line)) << line;
-  }
-}
-
-TEST(TraceGate, MacroMatchesCompileTimeFlag) {
-  obs::TraceSink sink;
-  obs::TraceSink* maybe = &sink;
-  OBS_TRACE(maybe, obs_ts.event("gated").f("x", 1));
-  if (obs::trace_compiled_in()) {
-    EXPECT_EQ(sink.events_written(), 1u);
-  } else {
-    // Gate off: the call site compiles to nothing and emits nothing.
-    EXPECT_EQ(sink.events_written(), 0u);
-    EXPECT_TRUE(sink.str().empty());
-  }
-  obs::TraceSink* null_sink = nullptr;
-  OBS_TRACE(null_sink, obs_ts.event("never").f("x", 0));  // must not crash
+  reg.counter("file.count").add(5);
+  EXPECT_FALSE(reg.write_json(path, "full_device"));
+  EXPECT_FALSE(obs::StatsWriter::write_csv(path, reg));
+  obs::SpanRecord txop;
+  txop.name = "mac.txop";
+  txop.sim_start = 0.0;
+  EXPECT_FALSE(obs::ChromeTraceWriter::write(path, {txop}));
 }
 
 void timed_helper() { OBS_SCOPED_TIMER("obs_test.helper"); }
@@ -394,83 +257,99 @@ TEST(Profiling, ScopedTimerFeedsGlobalRegistry) {
   }
 }
 
-#if CARPOOL_TRACE_ENABLED
-
 /// Acceptance scenario: a 20-STA Carpool simulator run plus one PHY-layer
-/// decode share a sink; the JSONL must parse and carry tx/ACK/collision
-/// and side-channel CRC events (docs/OBSERVABILITY.md schema).
-TEST(TraceIntegration, CarpoolRunEmitsParseableTrace) {
-  obs::TraceSink sink;
+/// decode, both under one span collector. The spans must carry the MAC
+/// frame lifecycle (txop -> frame -> subframe, with collisions) and the
+/// receive tree (rx_frame -> rx_subframe -> Viterbi).
+TEST(SpanIntegration, CarpoolRunEmitsFrameLifecycleTree) {
+  if (!obs::trace_compiled_in()) {
+    GTEST_SKIP() << "CARPOOL_ENABLE_TRACE=OFF: Span call sites are inert";
+  }
+  obs::SpanCollector collector;
+  {
+    const obs::SpanCollector::ScopedCurrent scope(collector);
+    mac::SimConfig cfg;
+    cfg.scheme = mac::Scheme::kCarpool;
+    cfg.num_stas = 20;
+    cfg.duration = 5.0;
+    cfg.seed = 7;
+    mac::Simulator sim(cfg);
+    for (mac::NodeId sta = 1; sta <= 20; ++sta) {
+      for (auto& flow :
+           traffic::make_voip_call(sta, traffic::VoipParams::near_peak())) {
+        sim.add_flow(std::move(flow));
+      }
+    }
+    const mac::SimResult result = sim.run();
+    EXPECT_GT(result.dl_frames_delivered, 0u);
+    EXPECT_GT(result.collisions, 0u);
 
-  mac::SimConfig cfg;
-  cfg.scheme = mac::Scheme::kCarpool;
-  cfg.num_stas = 20;
-  cfg.duration = 5.0;
-  cfg.seed = 7;
-  cfg.trace = &sink;
-  mac::Simulator sim(cfg);
-  for (mac::NodeId sta = 1; sta <= 20; ++sta) {
-    for (auto& flow :
-         traffic::make_voip_call(sta, traffic::VoipParams::near_peak())) {
-      sim.add_flow(std::move(flow));
+    // PHY leg: decode one Carpool frame into the same collector.
+    Rng rng(3);
+    Bytes psdu(400);
+    for (auto& b : psdu) b = static_cast<std::uint8_t>(rng.uniform_int(256));
+    const std::vector<SubframeSpec> subframes{
+        SubframeSpec{MacAddress::for_station(1), append_fcs(psdu), 4}};
+    const CarpoolTransmitter tx;
+    FadingConfig ch;
+    ch.snr_db = 30.0;
+    ch.seed = 11;
+    FadingChannel channel(ch);
+    CarpoolRxConfig rxcfg;
+    rxcfg.self = MacAddress::for_station(1);
+    const CarpoolReceiver rx(rxcfg);
+    const CarpoolRxResult phy =
+        rx.receive(channel.transmit(tx.build(subframes)));
+    ASSERT_FALSE(phy.subframes.empty());
+  }
+
+  std::map<std::uint64_t, const obs::SpanRecord*> by_id;
+  for (const obs::SpanRecord& r : collector.records()) by_id[r.id] = &r;
+  const auto parent_of = [&](const obs::SpanRecord& r) {
+    const auto it = by_id.find(r.parent);
+    return it == by_id.end() ? nullptr : it->second;
+  };
+
+  std::set<std::string> txop_outcomes;
+  std::size_t subframes = 0;
+  bool saw_decode_tree = false;
+  for (const obs::SpanRecord& r : collector.records()) {
+    if (r.name == "mac.txop") txop_outcomes.insert(r.outcome);
+    if (r.name == "mac.subframe") {
+      ++subframes;
+      const obs::SpanRecord* frame = parent_of(r);
+      ASSERT_NE(frame, nullptr) << "subframe " << r.id;
+      EXPECT_EQ(frame->name, "mac.frame");
+      EXPECT_EQ(frame->ids.txop, r.ids.txop);
+      const obs::SpanRecord* txop = parent_of(*frame);
+      ASSERT_NE(txop, nullptr) << "frame " << frame->id;
+      EXPECT_EQ(txop->name, "mac.txop");
+      EXPECT_EQ(txop->ids.txop, r.ids.txop);
+    }
+    if (r.name == "fec.viterbi_decode") {
+      const obs::SpanRecord* sub = parent_of(r);
+      if (sub == nullptr || sub->name != "carpool.rx_subframe") continue;
+      const obs::SpanRecord* frame = parent_of(*sub);
+      saw_decode_tree = saw_decode_tree || (frame != nullptr &&
+                                            frame->name == "carpool.rx_frame");
     }
   }
-  const mac::SimResult result = sim.run();
-  EXPECT_GT(result.dl_frames_delivered, 0u);
-  EXPECT_GT(result.collisions, 0u);
-
-  // PHY leg: decode one Carpool frame with the same sink attached.
-  Rng rng(3);
-  Bytes psdu(400);
-  for (auto& b : psdu) b = static_cast<std::uint8_t>(rng.uniform_int(256));
-  const std::vector<SubframeSpec> subframes{
-      SubframeSpec{MacAddress::for_station(1), append_fcs(psdu), 4}};
-  const CarpoolTransmitter tx;
-  FadingConfig ch;
-  ch.snr_db = 30.0;
-  ch.seed = 11;
-  FadingChannel channel(ch);
-  CarpoolRxConfig rxcfg;
-  rxcfg.self = MacAddress::for_station(1);
-  rxcfg.trace = &sink;
-  const CarpoolReceiver rx(rxcfg);
-  const CarpoolRxResult phy = rx.receive(channel.transmit(tx.build(subframes)));
-  ASSERT_FALSE(phy.subframes.empty());
-
-  const auto lines = split_lines(sink.str());
-  ASSERT_GT(lines.size(), 100u);
-  bool saw_tx = false, saw_ack = false, saw_collision = false;
-  bool saw_side_crc = false, saw_backoff = false, saw_symbol = false;
-  for (const auto& line : lines) {
-    ASSERT_TRUE(valid_jsonl_object(line)) << line;
-    saw_tx = saw_tx || line.find("\"type\":\"mac.tx_start\"") != std::string::npos;
-    saw_ack = saw_ack || line.find("\"type\":\"mac.ack\"") != std::string::npos;
-    saw_collision =
-        saw_collision || line.find("\"type\":\"mac.collision\"") != std::string::npos;
-    saw_side_crc =
-        saw_side_crc || line.find("\"type\":\"phy.side_crc\"") != std::string::npos;
-    saw_backoff =
-        saw_backoff || line.find("\"type\":\"mac.backoff_draw\"") != std::string::npos;
-    saw_symbol =
-        saw_symbol || line.find("\"type\":\"phy.symbol\"") != std::string::npos;
-  }
-  EXPECT_TRUE(saw_tx);
-  EXPECT_TRUE(saw_ack);
-  EXPECT_TRUE(saw_collision);
-  EXPECT_TRUE(saw_side_crc);
-  EXPECT_TRUE(saw_backoff);
-  EXPECT_TRUE(saw_symbol);
+  EXPECT_TRUE(txop_outcomes.count("collision")) << "no collided TXOP";
+  EXPECT_TRUE(txop_outcomes.count("ok")) << "no delivered TXOP";
+  EXPECT_GT(subframes, 0u);
+  EXPECT_TRUE(saw_decode_tree);
 }
 
-#else
-
-TEST(TraceIntegration, SimulatorWithSinkEmitsNothingWhenGateOff) {
-  obs::TraceSink sink;
+TEST(SpanIntegration, SimulatorEmitsNoSpansWhenGateOff) {
+  if (obs::trace_compiled_in()) {
+    GTEST_SKIP() << "CARPOOL_ENABLE_TRACE=ON: span sites are compiled in";
+  }
+  obs::SpanCollector collector;
+  const obs::SpanCollector::ScopedCurrent scope(collector);
   mac::SimConfig cfg;
   cfg.scheme = mac::Scheme::kCarpool;
   cfg.num_stas = 5;
   cfg.duration = 1.0;
-  cfg.trace = &sink;
   mac::Simulator sim(cfg);
   for (mac::NodeId sta = 1; sta <= 5; ++sta) {
     for (auto& flow : traffic::make_voip_call(sta)) {
@@ -479,10 +358,8 @@ TEST(TraceIntegration, SimulatorWithSinkEmitsNothingWhenGateOff) {
   }
   const mac::SimResult result = sim.run();
   EXPECT_GT(result.dl_frames_delivered, 0u);
-  EXPECT_EQ(sink.events_written(), 0u);
+  EXPECT_TRUE(collector.records().empty());
 }
-
-#endif  // CARPOOL_TRACE_ENABLED
 
 }  // namespace
 }  // namespace carpool

@@ -26,10 +26,10 @@
 // --chrome-trace PATH writes the run's frame-lifecycle spans (TXOP ->
 // frame -> subframe -> decode; docs/OBSERVABILITY.md) as a Chrome
 // trace-event file loadable in https://ui.perfetto.dev or
-// chrome://tracing. --span-jsonl PATH writes the same spans as JSONL
-// (convertible later with tools/trace_convert). Both need a build with
-// CARPOOL_ENABLE_TRACE=ON; otherwise a warning is printed and the file
-// holds no spans.
+// chrome://tracing, then prints a `span fingerprint` over their
+// deterministic fields (wall clock excluded), equal at any --threads
+// count. It needs a build with CARPOOL_ENABLE_TRACE=ON; otherwise a
+// warning is printed and the file holds no spans.
 //
 // --threads N shards timeline repeats across N workers (0 = auto, one
 // per hardware thread; default honours CARPOOL_THREADS, else serial).
@@ -50,8 +50,9 @@
 // corpus digest) are bit-identical to an uninterrupted campaign.
 //
 // Exit codes: 0 = campaign clean, 1 = invariant violation (bundle
-// written when --bundle-dir is set), 2 = usage or scenario-file error,
-// 3 = clean but degraded (some repeats quarantined after retries).
+// written when --bundle-dir is set), 2 = usage, scenario-file or
+// output-file error, 3 = clean but degraded (some repeats quarantined
+// after retries).
 
 #include <algorithm>
 #include <cerrno>
@@ -75,7 +76,6 @@
 #include "obs/chrome_trace.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "par/par.hpp"
 
 namespace {
@@ -89,7 +89,7 @@ void usage() {
                "[--bundle-dir DIR] [--shrink]\n"
                "            [--replay BUNDLE] [--metrics FILE] [--list] "
                "[--threads N]\n"
-               "            [--chrome-trace FILE] [--span-jsonl FILE]\n"
+               "            [--chrome-trace FILE]\n"
                "            [--validate] [--trace FILE]\n"
                "            [--fuzz] [--fuzz-rounds N] [--fuzz-batch N] "
                "[--fuzz-frames N]\n"
@@ -168,35 +168,18 @@ double parse_seconds(const char* flag, const char* text) {
   return v;
 }
 
-/// Export collected frame-lifecycle spans to the requested files.
-/// Returns true on success (or nothing requested).
+/// Write collected frame-lifecycle spans as a Chrome trace and print
+/// their fingerprint. Returns false if the file cannot be written.
 bool export_spans(const carpool::obs::SpanCollector& spans,
-                  const std::string& chrome_path,
-                  const std::string& jsonl_path) {
-  bool ok = true;
-  if (!chrome_path.empty()) {
-    if (carpool::obs::ChromeTraceWriter::write(chrome_path,
-                                               spans.records())) {
-      std::printf("chrome trace: %s (%zu spans)\n", chrome_path.c_str(),
-                  spans.records().size());
-    } else {
-      std::fprintf(stderr, "soak: cannot write %s\n", chrome_path.c_str());
-      ok = false;
-    }
+                  const std::string& path) {
+  if (!carpool::obs::ChromeTraceWriter::write(path, spans.records())) {
+    std::fprintf(stderr, "soak: cannot write %s\n", path.c_str());
+    return false;
   }
-  if (!jsonl_path.empty()) {
-    try {
-      carpool::obs::TraceSink sink(jsonl_path);
-      spans.write_jsonl(sink);
-      sink.flush();
-      std::printf("span jsonl: %s (%zu spans)\n", jsonl_path.c_str(),
-                  spans.records().size());
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "soak: %s\n", e.what());
-      ok = false;
-    }
-  }
-  return ok;
+  std::printf("chrome trace: %s (%zu spans)\n", path.c_str(),
+              spans.records().size());
+  std::printf("span fingerprint: 0x%016" PRIx64 "\n", spans.fingerprint());
+  return true;
 }
 
 bool read_file(const std::string& path, std::string& out) {
@@ -385,7 +368,6 @@ int main(int argc, char** argv) {
   std::string replay_path;
   std::string metrics_path;
   std::string chrome_trace_path;
-  std::string span_jsonl_path;
   SoakOptions opts;
   opts.threads = carpool::par::resolve_threads();  // CARPOOL_THREADS or 1
   bool do_shrink = false;
@@ -422,8 +404,6 @@ int main(int argc, char** argv) {
           static_cast<long long>(parse_u64("--threads", next())));
     } else if (arg == "--chrome-trace") {
       chrome_trace_path = next();
-    } else if (arg == "--span-jsonl") {
-      span_jsonl_path = next();
     } else if (arg == "--list") {
       list_only = true;
     } else if (arg == "--validate") {
@@ -489,8 +469,7 @@ int main(int argc, char** argv) {
 
   // Span collection covers replay and campaign alike; the collector is
   // installed for the whole run and exported at exit.
-  const bool want_spans =
-      !chrome_trace_path.empty() || !span_jsonl_path.empty();
+  const bool want_spans = !chrome_trace_path.empty();
   if (want_spans && !obs::trace_compiled_in()) {
     std::fprintf(stderr,
                  "soak: warning: built with CARPOOL_ENABLE_TRACE=OFF; "
@@ -505,8 +484,7 @@ int main(int argc, char** argv) {
 
   if (!replay_path.empty()) {
     const int code = replay_mode(replay_path);
-    if (want_spans &&
-        !export_spans(span_collector, chrome_trace_path, span_jsonl_path)) {
+    if (want_spans && !export_spans(span_collector, chrome_trace_path)) {
       return 2;
     }
     return code;
@@ -629,11 +607,12 @@ int main(int argc, char** argv) {
   // across thread counts, so serial-vs-parallel CI runs can diff it.
   std::printf("metrics fingerprint: 0x%016" PRIx64 "\n",
               obs::Registry::global().fingerprint());
-  if (!metrics_path.empty()) {
-    obs::Registry::global().write_json(metrics_path, "soak");
+  if (!metrics_path.empty() &&
+      !obs::Registry::global().write_json(metrics_path, "soak")) {
+    std::fprintf(stderr, "soak: cannot write %s\n", metrics_path.c_str());
+    if (exit_code == 0) exit_code = 2;
   }
-  if (want_spans &&
-      !export_spans(span_collector, chrome_trace_path, span_jsonl_path)) {
+  if (want_spans && !export_spans(span_collector, chrome_trace_path)) {
     return exit_code == 0 ? 2 : exit_code;
   }
   // Clean but degraded: some repeats were quarantined after exhausting
