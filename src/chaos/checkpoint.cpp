@@ -1,9 +1,6 @@
 #include "chaos/checkpoint.hpp"
 
 #include <cerrno>
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -14,7 +11,7 @@
 #include <unistd.h>
 #endif
 
-#include "chaos/json.hpp"
+#include "common/json.hpp"
 #include "obs/span.hpp"
 
 namespace carpool::chaos {
@@ -40,23 +37,6 @@ std::uint64_t mix_double(std::uint64_t h, double v) noexcept {
   static_assert(sizeof(bits) == sizeof(v));
   std::memcpy(&bits, &v, sizeof(bits));
   return mix_u64(h, bits);
-}
-
-std::string hex_u64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, v);
-  return buf;
-}
-
-bool parse_hex_u64(const JsonValue* v, std::uint64_t& out) {
-  if (v == nullptr || !v->is_string()) return false;
-  const std::string& s = v->as_string();
-  if (s.size() < 3 || s[0] != '0' || (s[1] != 'x' && s[1] != 'X')) {
-    return false;
-  }
-  char* end = nullptr;
-  out = std::strtoull(s.c_str() + 2, &end, 16);
-  return end != nullptr && *end == '\0';
 }
 
 // ------------------------------------------------------- field readers
@@ -129,8 +109,9 @@ std::string checkpoint_to_json(const CampaignCheckpoint& ck) {
   json_set(root, "schema_version",
            JsonValue(static_cast<double>(ck.schema_version)));
   json_set(root, "scenario_name", JsonValue(ck.scenario_name));
-  json_set(root, "scenario_digest", JsonValue(hex_u64(ck.scenario_digest)));
-  json_set(root, "options_digest", JsonValue(hex_u64(ck.options_digest)));
+  json_set(root, "scenario_digest",
+           JsonValue(json_hex_u64(ck.scenario_digest)));
+  json_set(root, "options_digest", JsonValue(json_hex_u64(ck.options_digest)));
   json_set(root, "repeats_done",
            JsonValue(static_cast<double>(ck.repeats_done)));
   json_set(root, "frames_judged",
@@ -219,11 +200,11 @@ CheckpointParseResult checkpoint_from_json(std::string_view text) {
     result.error = err;
     return result;
   }
-  if (!parse_hex_u64(root.find("scenario_digest"), ck.scenario_digest)) {
+  if (!json_from_hex_u64(root.find("scenario_digest"), ck.scenario_digest)) {
     result.error = {"scenario_digest", "expected a 0x-prefixed hex string"};
     return result;
   }
-  if (!parse_hex_u64(root.find("options_digest"), ck.options_digest)) {
+  if (!json_from_hex_u64(root.find("options_digest"), ck.options_digest)) {
     result.error = {"options_digest", "expected a 0x-prefixed hex string"};
     return result;
   }

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cinttypes>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -14,8 +11,8 @@
 #include <utility>
 
 #include "chaos/checkpoint.hpp"
-#include "chaos/json.hpp"
 #include "chaos/shrink.hpp"
+#include "common/json.hpp"
 #include "par/par.hpp"
 #include "sim/testbed.hpp"
 
@@ -348,34 +345,17 @@ const CorpusEntry& tournament_select(
 
 // ------------------------------------- fuzz state persistence (resume)
 // docs/FAULT_TOLERANCE.md. Doubles round-trip bit-exactly through the
-// chaos JSON writer (%.17g) and scenarios round-trip field-for-field, so
+// JSON writer (%.17g) and scenarios round-trip field-for-field, so
 // a restored corpus evolves bit-identically to the uninterrupted run.
 
 constexpr std::int64_t kFuzzStateSchemaVersion = 1;
-
-std::string hex_u64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, v);
-  return buf;
-}
-
-bool parse_hex_u64(const JsonValue* v, std::uint64_t& out) {
-  if (v == nullptr || !v->is_string()) return false;
-  const std::string& s = v->as_string();
-  if (s.size() < 3 || s[0] != '0' || (s[1] != 'x' && s[1] != 'X')) {
-    return false;
-  }
-  char* end = nullptr;
-  out = std::strtoull(s.c_str() + 2, &end, 16);
-  return end != nullptr && *end == '\0';
-}
 
 std::string fuzz_state_to_json(const FuzzReport& report,
                                std::uint64_t fuzz_seed) {
   JsonObject root;
   json_set(root, "schema_version",
            JsonValue(static_cast<double>(kFuzzStateSchemaVersion)));
-  json_set(root, "fuzz_seed", JsonValue(hex_u64(fuzz_seed)));
+  json_set(root, "fuzz_seed", JsonValue(json_hex_u64(fuzz_seed)));
   json_set(root, "rounds_run",
            JsonValue(static_cast<double>(report.rounds_run)));
   json_set(root, "evals", JsonValue(static_cast<double>(report.evals)));
@@ -385,7 +365,7 @@ std::string fuzz_state_to_json(const FuzzReport& report,
   corpus.reserve(report.corpus.size());
   for (const CorpusEntry& e : report.corpus) {
     JsonObject entry;
-    json_set(entry, "signature", JsonValue(hex_u64(e.signature)));
+    json_set(entry, "signature", JsonValue(json_hex_u64(e.signature)));
     json_set(entry, "min_margin", JsonValue(e.min_margin));
     json_set(entry, "round", JsonValue(static_cast<double>(e.round)));
     json_set(entry, "op", JsonValue(e.op));
@@ -413,7 +393,7 @@ bool fuzz_state_from_json(std::string_view text, std::uint64_t fuzz_seed,
     return false;
   }
   std::uint64_t seed = 0;
-  if (!parse_hex_u64(root.find("fuzz_seed"), seed)) {
+  if (!json_from_hex_u64(root.find("fuzz_seed"), seed)) {
     error = "fuzz state: bad fuzz_seed";
     return false;
   }
@@ -438,7 +418,7 @@ bool fuzz_state_from_json(std::string_view text, std::uint64_t fuzz_seed,
   report.corpus_adds = adds;
   for (const JsonValue& ev : corpus->as_array()) {
     CorpusEntry entry;
-    if (!parse_hex_u64(ev.find("signature"), entry.signature)) {
+    if (!json_from_hex_u64(ev.find("signature"), entry.signature)) {
       error = "fuzz state: corpus entry with bad signature";
       return false;
     }

@@ -1038,28 +1038,28 @@ BundleParseResult bundle_from_json(std::string_view text) {
       d != nullptr && d->is_string()) {
     bundle.violation.detail = d->as_string();
   }
-  const JsonValue* frame = v->find("frame");
-  if (frame == nullptr || !frame->is_number() ||
-      frame->as_number() < 0.0 ||
-      frame->as_number() != std::floor(frame->as_number())) {
-    out.error.path = "violation.frame";
-    out.error.message = "expected a non-negative integer";
+  // `frame` is required; `episode` and `repeat` are optional, but a
+  // present value must be a valid index.
+  const auto read_index = [&](const char* key, bool required,
+                              std::uint64_t& n) {
+    const JsonValue* f = v->find(key);
+    if ((f == nullptr && !required) || json_to_u64(f, n)) return true;
+    out.error.path = std::string("violation.") + key;
+    out.error.message = "expected a non-negative integer (<= 2^53)";
+    return false;
+  };
+  std::uint64_t episode = 0;
+  std::uint64_t repeat = 0;
+  if (!read_index("frame", true, bundle.violation.frame) ||
+      !read_index("episode", false, episode) ||
+      !read_index("repeat", false, repeat)) {
     return out;
   }
-  bundle.violation.frame =
-      static_cast<std::uint64_t>(frame->as_number());
+  bundle.violation.episode = episode;
+  bundle.violation.repeat = repeat;
   if (const JsonValue* t = v->find("time");
       t != nullptr && t->is_number()) {
     bundle.violation.time = t->as_number();
-  }
-  if (const JsonValue* e = v->find("episode");
-      e != nullptr && e->is_number()) {
-    bundle.violation.episode =
-        static_cast<std::size_t>(e->as_number());
-  }
-  if (const JsonValue* r = v->find("repeat");
-      r != nullptr && r->is_number()) {
-    bundle.violation.repeat = static_cast<std::size_t>(r->as_number());
   }
   const JsonValue* sc = root.find("scenario");
   if (sc == nullptr) {

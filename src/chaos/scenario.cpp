@@ -47,13 +47,17 @@ bool read_number(Ctx& ctx, const JsonValue& obj, const std::string& path,
 
 bool read_uint(Ctx& ctx, const JsonValue& obj, const std::string& path,
                std::string_view key, std::uint64_t& out, bool required) {
-  double d = static_cast<double>(out);
-  if (!read_number(ctx, obj, path, key, d, required)) return false;
-  if (d < 0.0 || d != std::floor(d)) {
-    return ctx.fail(path + std::string(key),
-                    "expected a non-negative integer");
+  const JsonValue* v = obj.find(key);
+  if (v == nullptr) {
+    if (required) {
+      return ctx.fail(path + std::string(key), "required field missing");
+    }
+    return true;
   }
-  out = static_cast<std::uint64_t>(d);
+  if (!json_to_u64(v, out)) {
+    return ctx.fail(path + std::string(key),
+                    "expected a non-negative integer (<= 2^53)");
+  }
   return true;
 }
 
@@ -195,11 +199,12 @@ bool parse_interference(Ctx& ctx, const JsonValue& v, Scenario& s) {
         return ctx.fail(path + "stas", "expected an array");
       }
       for (const JsonValue& sv : stas->as_array()) {
-        if (!sv.is_number() || sv.as_number() < 1.0 ||
-            sv.as_number() != std::floor(sv.as_number())) {
+        std::uint64_t sta = 0;
+        if (!json_to_u64(&sv, sta) || sta < 1 ||
+            sta > std::numeric_limits<std::uint32_t>::max()) {
           return ctx.fail(path + "stas", "expected STA ids >= 1");
         }
-        ep.stas.push_back(static_cast<std::uint32_t>(sv.as_number()));
+        ep.stas.push_back(static_cast<std::uint32_t>(sta));
       }
     }
     s.interference.push_back(std::move(ep));

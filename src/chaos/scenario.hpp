@@ -16,8 +16,8 @@
 #include <string>
 #include <vector>
 
-#include "chaos/json.hpp"
 #include "chaos/snr_trace.hpp"
+#include "common/json.hpp"
 #include "mac/link_state.hpp"
 #include "mac/scheme.hpp"
 #include "sim/testbed.hpp"

@@ -5,7 +5,7 @@
 #include <charconv>
 #include <cmath>
 
-#include "chaos/json.hpp"
+#include "common/json.hpp"
 
 namespace carpool::chaos {
 namespace {
@@ -43,8 +43,9 @@ bool parse_double(std::string_view field, double& out) {
   return ec == std::errc() && ptr == end && std::isfinite(out);
 }
 
-/// Shared field validation; returns a non-empty message on failure.
-std::string validate_sample(double time, double sta, double snr) {
+/// Shared by both readers: validates one row into `out`; returns a
+/// non-empty message on failure. The sta bound keeps its cast defined.
+std::string to_sample(double time, double sta, double snr, SnrSample& out) {
   if (!std::isfinite(time) || time < 0.0) {
     return "time must be a finite non-negative number";
   }
@@ -52,6 +53,7 @@ std::string validate_sample(double time, double sta, double snr) {
     return "sta must be an integer >= 1";
   }
   if (!std::isfinite(snr)) return "snr_db must be finite";
+  out = {time, static_cast<std::uint32_t>(sta), snr};
   return {};
 }
 
@@ -146,13 +148,13 @@ SnrTraceParseResult snr_trace_from_csv(std::string_view text) {
       failed = true;
       return false;
     }
-    if (std::string msg = validate_sample(time, sta, snr); !msg.empty()) {
+    SnrSample sample;
+    if (std::string msg = to_sample(time, sta, snr, sample); !msg.empty()) {
       out.error = {std::move(msg), line_no};
       failed = true;
       return false;
     }
-    samples.push_back(
-        {time, static_cast<std::uint32_t>(sta), snr});
+    samples.push_back(sample);
     return true;
   });
   if (failed) return out;
@@ -192,16 +194,15 @@ SnrTraceParseResult snr_trace_from_jsonl(std::string_view text) {
       failed = true;
       return false;
     }
-    if (std::string msg = validate_sample(t->as_number(), sta->as_number(),
-                                          snr->as_number());
+    SnrSample sample;
+    if (std::string msg = to_sample(t->as_number(), sta->as_number(),
+                                    snr->as_number(), sample);
         !msg.empty()) {
       out.error = {std::move(msg), line_no};
       failed = true;
       return false;
     }
-    samples.push_back({t->as_number(),
-                       static_cast<std::uint32_t>(sta->as_number()),
-                       snr->as_number()});
+    samples.push_back(sample);
     return true;
   });
   if (failed) return out;

@@ -1,11 +1,12 @@
-#include "chaos/json.hpp"
+#include "common/json.hpp"
 
 #include <cctype>
 #include <charconv>
+#include <cinttypes>
 #include <cmath>
 #include <cstdio>
 
-namespace carpool::chaos {
+namespace carpool {
 namespace {
 
 /// Maximum container nesting. Parsing is recursive, so unbounded depth
@@ -279,43 +280,6 @@ class Parser {
   JsonError error_;
 };
 
-void dump_string(const std::string& s, std::string& out) {
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-void dump_number(double v, std::string& out) {
-  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-    out += buf;
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
 void dump_value(const JsonValue& v, std::string& out, int indent) {
   const std::string pad(static_cast<std::size_t>(indent) * 2, ' ');
   const std::string pad_in(static_cast<std::size_t>(indent + 1) * 2, ' ');
@@ -327,10 +291,10 @@ void dump_value(const JsonValue& v, std::string& out, int indent) {
       out += v.as_bool() ? "true" : "false";
       return;
     case JsonValue::Kind::kNumber:
-      dump_number(v.as_number(), out);
+      out += json_number(v.as_number());
       return;
     case JsonValue::Kind::kString:
-      dump_string(v.as_string(), out);
+      out += json_quote(v.as_string());
       return;
     case JsonValue::Kind::kArray: {
       const JsonArray& a = v.as_array();
@@ -357,7 +321,7 @@ void dump_value(const JsonValue& v, std::string& out, int indent) {
       out += "{\n";
       for (std::size_t i = 0; i < o.size(); ++i) {
         out += pad_in;
-        dump_string(o[i].first, out);
+        out += json_quote(o[i].first);
         out += ": ";
         dump_value(o[i].second, out, indent + 1);
         if (i + 1 < o.size()) out += ",";
@@ -395,6 +359,62 @@ std::string json_dump(const JsonValue& value) {
   return out;
 }
 
+std::string json_quote(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  out.push_back('"');
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(c));
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  out.push_back('"');
+  return out;
+}
+
+std::string json_number(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[40];
+  if (v == std::floor(v) && std::fabs(v) < 1e15) {
+    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
+  } else {
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+  }
+  return buf;
+}
+
+std::string json_hex_u64(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "0x%016" PRIx64, v);
+  return buf;
+}
+
+bool json_from_hex_u64(const JsonValue* v, std::uint64_t& out) noexcept {
+  if (v == nullptr || !v->is_string()) return false;
+  const std::string& s = v->as_string();
+  if (s.size() < 3 || s[0] != '0' || (s[1] != 'x' && s[1] != 'X')) {
+    return false;
+  }
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data() + 2, end, out, 16);
+  return ec == std::errc{} && ptr == end;
+}
+
 bool json_to_u64(const JsonValue* v, std::uint64_t& out) noexcept {
   if (v == nullptr || !v->is_number()) return false;
   const double d = v->as_number();
@@ -407,4 +427,4 @@ bool json_to_u64(const JsonValue* v, std::uint64_t& out) noexcept {
   return true;
 }
 
-}  // namespace carpool::chaos
+}  // namespace carpool

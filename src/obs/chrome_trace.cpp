@@ -3,8 +3,9 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <unordered_map>
+
+#include "common/json.hpp"
 
 namespace carpool::obs {
 namespace {
@@ -14,30 +15,6 @@ constexpr int kTidSim = 1;
 constexpr int kTidWall = 2;
 /// Breathing room between re-based wall-clock roots (µs).
 constexpr double kRootGapUs = 10.0;
-
-void append_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
 
 std::string num(double v) {
   if (!std::isfinite(v)) return "0";
@@ -55,19 +32,14 @@ void append_args(std::string& out, const SpanRecord& r) {
     out += ",\"subframe\":" + std::to_string(r.ids.subframe);
   }
   if (r.ids.sta >= 0) out += ",\"sta\":" + std::to_string(r.ids.sta);
-  if (!r.outcome.empty()) {
-    out += ",\"outcome\":\"";
-    append_escaped(out, r.outcome);
-    out += '"';
-  }
+  if (!r.outcome.empty()) out += ",\"outcome\":" + json_quote(r.outcome);
   out += '}';
 }
 
 void append_complete_event(std::string& out, const SpanRecord& r, int tid,
                            double ts_us, double dur_us) {
-  out += "{\"name\":\"";
-  append_escaped(out, r.name);
-  out += "\",\"ph\":\"X\",\"pid\":" + std::to_string(kPid) +
+  out += "{\"name\":" + json_quote(r.name) +
+         ",\"ph\":\"X\",\"pid\":" + std::to_string(kPid) +
          ",\"tid\":" + std::to_string(tid) + ",\"ts\":" + num(ts_us) +
          ",\"dur\":" + num(dur_us) + ",";
   append_args(out, r);
@@ -87,9 +59,7 @@ void append_flow_event(std::string& out, char ph, std::uint64_t flow_id,
 void append_thread_name(std::string& out, int tid, std::string_view name) {
   out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" +
          std::to_string(kPid) + ",\"tid\":" + std::to_string(tid) +
-         ",\"args\":{\"name\":\"";
-  append_escaped(out, name);
-  out += "\"}}";
+         ",\"args\":{\"name\":" + json_quote(name) + "}}";
 }
 
 }  // namespace

@@ -1,56 +1,16 @@
 #include "obs/registry.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/json.hpp"
+
 namespace carpool::obs {
 namespace {
-
-/// JSON-safe number: non-finite doubles have no JSON literal, map to null.
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void atomic_fetch_min(std::atomic<double>& target, double v) noexcept {
   double cur = target.load(std::memory_order_relaxed);
@@ -370,69 +330,52 @@ std::uint64_t Registry::fingerprint() const {
 
 std::string Registry::to_json(std::string_view bench) const {
   const std::scoped_lock lock(mutex_);
-  std::ostringstream os;
-  os << "{\n  \"schema_version\": 2";
-  if (!bench.empty()) {
-    os << ",\n  \"bench\": \"" << json_escape(bench) << '"';
-  }
-  os << ",\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, c] : counters_) {
-    os << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
-       << "\": " << c->value();
-    first = false;
-  }
-  os << (first ? "}" : "\n  }");
-  os << ",\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, g] : gauges_) {
-    os << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
-       << "\": " << json_number(g->value());
-    first = false;
-  }
-  os << (first ? "}" : "\n  }");
-  os << ",\n  \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    os << (first ? "\n" : ",\n") << "    \"" << json_escape(name) << "\": {";
-    if (!h->unit().empty()) {
-      os << "\"unit\": \"" << json_escape(h->unit()) << "\", ";
+  std::string out = "{\n  \"schema_version\": 2";
+  if (!bench.empty()) out += ",\n  \"bench\": " + json_quote(bench);
+  // One metric per line; counters print as exact integers.
+  const auto section = [&out](const char* title, const auto& metrics,
+                              const auto& value_text) {
+    out += std::string(",\n  \"") + title + "\": {";
+    const char* sep = "\n    ";
+    for (const auto& [name, metric] : metrics) {
+      out += sep + json_quote(name) + ": " + value_text(*metric);
+      sep = ",\n    ";
     }
-    os << "\"count\": " << h->count() << ", \"sum\": "
-       << json_number(h->sum()) << ", \"min\": " << json_number(h->min())
-       << ", \"max\": " << json_number(h->max())
-       << ", \"mean\": " << json_number(h->mean())
-       << ", \"p50\": " << json_number(h->percentile(0.5))
-       << ", \"p99\": " << json_number(h->percentile(0.99))
-       << ", \"buckets\": [";
-    const auto& bounds = h->bounds();
+    out += metrics.empty() ? "}" : "\n  }";
+  };
+  section("counters", counters_,
+          [](const Counter& c) { return std::to_string(c.value()); });
+  section("gauges", gauges_,
+          [](const Gauge& g) { return json_number(g.value()); });
+  section("histograms", histograms_, [](const Histogram& h) {
+    std::string text = "{";
+    if (!h.unit().empty()) text += "\"unit\": " + json_quote(h.unit()) + ", ";
+    text += "\"count\": " + std::to_string(h.count()) +
+            ", \"sum\": " + json_number(h.sum()) +
+            ", \"min\": " + json_number(h.min()) +
+            ", \"max\": " + json_number(h.max()) +
+            ", \"mean\": " + json_number(h.mean()) +
+            ", \"p50\": " + json_number(h.percentile(0.5)) +
+            ", \"p99\": " + json_number(h.percentile(0.99)) +
+            ", \"buckets\": [";
+    const auto& bounds = h.bounds();
     for (std::size_t i = 0; i <= bounds.size(); ++i) {
-      if (i > 0) os << ", ";
-      os << "{\"le\": "
-         << (i < bounds.size() ? json_number(bounds[i])
-                               : std::string("\"+Inf\""))
-         << ", \"count\": " << h->bucket_count(i) << '}';
+      if (i > 0) text += ", ";
+      text += "{\"le\": " +
+              (i < bounds.size() ? json_number(bounds[i]) : "\"+Inf\"") +
+              ", \"count\": " + std::to_string(h.bucket_count(i)) + "}";
     }
-    os << "]}";
-    first = false;
-  }
-  os << (first ? "}" : "\n  }");
+    return text + "]}";
+  });
   // schema_version 2: per-metric unit / layer / description resolved from
   // the static catalog (metrics_meta.hpp). Uncataloged metrics (ad-hoc
   // test names) simply have no entry here.
-  os << ",\n  \"meta\": {";
-  first = true;
-  for (const auto& [name, meta] : meta_) {
-    os << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
-       << "\": {\"unit\": \"" << json_escape(meta->unit)
-       << "\", \"layer\": \"" << json_escape(meta->layer)
-       << "\", \"description\": \"" << json_escape(meta->description)
-       << "\"}";
-    first = false;
-  }
-  os << (first ? "}" : "\n  }");
-  os << "\n}\n";
-  return os.str();
+  section("meta", meta_, [](const MetricMeta& m) {
+    return "{\"unit\": " + json_quote(m.unit) +
+           ", \"layer\": " + json_quote(m.layer) +
+           ", \"description\": " + json_quote(m.description) + "}";
+  });
+  return out + "\n}\n";
 }
 
 std::string Registry::to_text() const {

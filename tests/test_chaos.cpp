@@ -9,12 +9,12 @@
 #include <string>
 
 #include "chaos/invariants.hpp"
-#include "chaos/json.hpp"
 #include "chaos/runner.hpp"
 #include "chaos/scenario.hpp"
 #include "chaos/shrink.hpp"
 #include "chaos/snr_trace.hpp"
 #include "carpool/transceiver.hpp"
+#include "common/json.hpp"
 #include "mac/params.hpp"
 #include "mac/simulator.hpp"
 #include "obs/registry.hpp"
@@ -178,6 +178,32 @@ TEST(ChaosScenario, SchemaViolationsReportDottedPaths) {
     EXPECT_NE(r.error.path.find(c.path_fragment), std::string::npos)
         << "error path '" << r.error.path << "' for " << c.json;
     EXPECT_FALSE(r.error.message.empty());
+  }
+}
+
+TEST(ChaosScenario, OutOfRangeIntegersAreRejectedWithTheirPath) {
+  // Each value is a JSON number that no u64 field can hold exactly;
+  // casting it would be undefined behaviour, so the reader must refuse.
+  struct Case {
+    const char* json;
+    const char* path;
+  };
+  const Case cases[] = {
+      {R"({"name": "x", "duration": 1, "seed": 1e30})", "seed"},
+      {R"({"name": "x", "duration": 1, "seed": 18446744073709551616})",
+       "seed"},
+      {R"({"name": "x", "duration": 1, "num_stas": -1})", "num_stas"},
+      {R"({"name": "x", "duration": 1,
+           "inject_violation": {"frame": 1e300}})",
+       "inject_violation.frame"},
+      {R"({"name": "x", "duration": 1,
+           "interference": [{"start": 0, "stop": 1, "stas": [1e30]}]})",
+       "interference[0].stas"},
+  };
+  for (const Case& c : cases) {
+    const ScenarioParseResult r = scenario_from_json(c.json);
+    ASSERT_FALSE(r.ok()) << c.json;
+    EXPECT_EQ(r.error.path, c.path) << c.json;
   }
 }
 
@@ -493,6 +519,28 @@ TEST(ReproBundle, MalformedBundlesYieldStructuredErrors) {
   })");
   ASSERT_FALSE(r.ok());
   EXPECT_FALSE(r.error.message.empty());
+}
+
+TEST(ReproBundle, OutOfRangeIndicesAreRejectedWithTheirPath) {
+  const auto bundle = [](const char* violation) {
+    return std::string(R"({"violation": {"invariant": "injected", )") +
+           violation + R"(}, "scenario": {"name": "ok", "duration": 1}})";
+  };
+  ASSERT_TRUE(bundle_from_json(bundle(R"("frame": 5, "episode": 2)")).ok());
+  struct Case {
+    const char* violation;
+    const char* path;
+  };
+  const Case cases[] = {
+      {R"("frame": 5, "episode": -1)", "violation.episode"},
+      {R"("frame": 5, "repeat": 1e30)", "violation.repeat"},
+      {R"("frame": 1e30)", "violation.frame"},
+  };
+  for (const Case& c : cases) {
+    const BundleParseResult r = bundle_from_json(bundle(c.violation));
+    ASSERT_FALSE(r.ok()) << c.violation;
+    EXPECT_EQ(r.error.path, c.path) << c.violation;
+  }
 }
 
 TEST(ReproBundle, ShrinkerReducesTimelineAndStillReproduces) {

@@ -1,4 +1,4 @@
-// chaos/json error-path coverage: the parser's contract is that it
+// common/json error-path coverage: the parser's contract is that it
 // NEVER throws and never crashes — every malformed input becomes a
 // structured JsonError with a 1-based line/column. These tests pin that
 // contract on the inputs most likely to slip through a hand-rolled
@@ -11,8 +11,8 @@
 
 #include <gtest/gtest.h>
 
-#include "chaos/json.hpp"
 #include "chaos/scenario.hpp"
+#include "common/json.hpp"
 
 namespace carpool::chaos {
 namespace {
@@ -276,6 +276,62 @@ TEST(ChaosJsonToU64, RejectsEverythingTheCastCannotRepresent) {
   EXPECT_FALSE(json_to_u64(&nan, out));
   EXPECT_FALSE(json_to_u64(&text, out));
   EXPECT_FALSE(json_to_u64(nullptr, out));
+}
+
+// ------------------------------------------------------------- encoders
+
+TEST(JsonEncoders, NonFiniteNumbersDumpAsNull) {
+  // JSON has no literal for NaN or the infinities: a writer that emits
+  // "nan" produces a file its own parser rejects.
+  for (const double v : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    const JsonParseResult r = json_parse(json_dump(JsonValue(v)));
+    ASSERT_TRUE(r.ok()) << r.error.to_string();
+    EXPECT_TRUE(r.value->is_null());
+    EXPECT_EQ(json_number(v), "null");
+  }
+}
+
+TEST(JsonEncoders, NumbersPrintIntegersPlainAndDoublesExactly) {
+  EXPECT_EQ(json_number(42.0), "42");
+  EXPECT_EQ(json_number(-7.0), "-7");
+  EXPECT_EQ(json_number(-0.0), "0");
+  EXPECT_EQ(json_number(1e9), "1000000000");
+  EXPECT_EQ(json_number(0.1), "0.10000000000000001");
+  for (const double v : {0.1, 1.0 / 3.0, 6.02214076e23, -2.5e-300}) {
+    const JsonParseResult r = json_parse(json_number(v));
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.value->as_number(), v);
+  }
+}
+
+TEST(JsonEncoders, QuoteEscapesAndRoundTrips) {
+  const std::string raw =
+      std::string("q\"b\\s\b\f\n\r\t") + '\x01' + "\xc3\xa9";
+  const std::string quoted = json_quote(raw);
+  EXPECT_EQ(quoted, "\"q\\\"b\\\\s\\b\\f\\n\\r\\t\\u0001\xc3\xa9\"");
+  const JsonParseResult r = json_parse(quoted);
+  ASSERT_TRUE(r.ok()) << r.error.to_string();
+  EXPECT_EQ(r.value->as_string(), raw);
+}
+
+TEST(JsonEncoders, HexDigestsRoundTripAndRejectJunk) {
+  const std::uint64_t digest = 0xe615063d969a6b4dULL;
+  const JsonValue text(json_hex_u64(digest));
+  EXPECT_EQ(text.as_string(), "0xe615063d969a6b4d");
+  EXPECT_EQ(json_hex_u64(5), "0x0000000000000005");
+  std::uint64_t out = 0;
+  ASSERT_TRUE(json_from_hex_u64(&text, out));
+  EXPECT_EQ(out, digest);
+  for (const char* junk : {"", "0x", "e615", "0x-1", "0x 12", "0x12g",
+                           "0x0x12", "0x1ffffffffffffffff"}) {
+    const JsonValue v{std::string(junk)};
+    EXPECT_FALSE(json_from_hex_u64(&v, out)) << junk;
+  }
+  const JsonValue number(5.0);
+  EXPECT_FALSE(json_from_hex_u64(&number, out));
+  EXPECT_FALSE(json_from_hex_u64(nullptr, out));
 }
 
 }  // namespace

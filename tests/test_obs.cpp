@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -11,7 +12,7 @@
 
 #include "carpool/transceiver.hpp"
 #include "channel/fading.hpp"
-#include "chaos/json.hpp"
+#include "common/json.hpp"
 #include "common/rng.hpp"
 #include "mac/simulator.hpp"
 #include "obs/chrome_trace.hpp"
@@ -115,7 +116,7 @@ TEST(Registry, JsonExportWellFormed) {
   reg.set_gauge("b.value", 1.25);
   reg.histogram("c.lat", {1.0, 10.0}, "ns").record(3.0);
   const std::string json = reg.to_json("unit_test");
-  EXPECT_TRUE(chaos::json_parse(json).ok()) << json;
+  EXPECT_TRUE(json_parse(json).ok()) << json;
   EXPECT_NE(json.find("\"schema_version\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"bench\": \"unit_test\""), std::string::npos);
   EXPECT_NE(json.find("\"a.count\": 2"), std::string::npos);
@@ -126,13 +127,53 @@ TEST(Registry, JsonExportWellFormed) {
   EXPECT_NE(json.find("\"meta\": {}"), std::string::npos);
 }
 
+TEST(Registry, JsonExportGoldenText) {
+  // Pins the export layout bench_diff and the dashboards read: one metric
+  // per line, exact integer counters, null for a non-finite value.
+  obs::Registry reg;
+  reg.counter("mac.ls_transition").add(3);  // cataloged: gets a meta row
+  reg.set_gauge("g.finite", 0.25);
+  reg.set_gauge("g.nan", std::numeric_limits<double>::quiet_NaN());
+  obs::Histogram& lat = reg.histogram("h.lat", {1.0, 10.0}, "ns");
+  lat.record(0.5);
+  lat.record(3.0);
+  reg.histogram("h.empty", {1.0});
+  const std::string expected =
+      R"({
+  "schema_version": 2,
+  "bench": "golden",
+  "counters": {
+    "mac.ls_transition": 3
+  },
+  "gauges": {
+    "g.finite": 0.25,
+    "g.nan": null
+  },
+  "histograms": {
+    "h.empty": {"count": 0, "sum": 0, "min": null, "max": null, )"
+      R"("mean": 0, "p50": 0, "p99": 0, "buckets": [{"le": 1, "count": 0}, )"
+      R"({"le": "+Inf", "count": 0}]},
+    "h.lat": {"unit": "ns", "count": 2, "sum": 3.5, "min": 0.5, )"
+      R"("max": 3, "mean": 1.75, "p50": 10, "p99": 10, "buckets": [)"
+      R"({"le": 1, "count": 1}, {"le": 10, "count": 1}, )"
+      R"({"le": "+Inf", "count": 0}]}
+  },
+  "meta": {
+    "mac.ls_transition": {"unit": "count", "layer": "mac", )"
+      R"("description": "Link-state machine state transitions"}
+  }
+}
+)";
+  EXPECT_EQ(reg.to_json("golden"), expected);
+}
+
 TEST(Registry, CatalogedMetricsExportMetadata) {
   obs::Registry reg;
   reg.counter("mac.ls_transition").add();       // cataloged exact name
   reg.set_gauge("fig13.bpsk.rte_on_ber", 0.1);  // cataloged prefix family
   reg.counter("made.up.name").add();            // uncataloged
   const std::string json = reg.to_json();
-  EXPECT_TRUE(chaos::json_parse(json).ok()) << json;
+  EXPECT_TRUE(json_parse(json).ok()) << json;
   EXPECT_NE(json.find("\"mac.ls_transition\": {\"unit\""), std::string::npos);
   EXPECT_NE(json.find("\"fig13.bpsk.rte_on_ber\": {\"unit\""),
             std::string::npos);
@@ -201,7 +242,7 @@ TEST(StatsWriter, WriteCsvRoundTrips) {
 
 TEST(Registry, EmptyRegistryExportsWellFormedJson) {
   const obs::Registry reg;
-  EXPECT_TRUE(chaos::json_parse(reg.to_json()).ok());
+  EXPECT_TRUE(json_parse(reg.to_json()).ok());
 }
 
 TEST(Registry, TextExportMentionsEveryMetric) {
@@ -223,7 +264,7 @@ TEST(Registry, WriteJsonToFile) {
   std::ifstream in(path);
   std::stringstream buf;
   buf << in.rdbuf();
-  EXPECT_TRUE(chaos::json_parse(buf.str()).ok()) << buf.str();
+  EXPECT_TRUE(json_parse(buf.str()).ok()) << buf.str();
   EXPECT_NE(buf.str().find("\"file.count\": 5"), std::string::npos);
 }
 

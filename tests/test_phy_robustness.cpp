@@ -253,7 +253,10 @@ TEST_P(ViterbiAwgn, PostFecBerBelowWaterfall) {
   // Soft-decision K=7 rate-1/2 over BPSK-AWGN: at Eb/N0 >= 4 dB the
   // post-FEC BER must be < 1e-3 (classic waterfall).
   const double ebn0_db = GetParam();
-  Rng rng(static_cast<std::uint64_t>(ebn0_db * 7) + 5);
+  // Through int64: a negative double cast straight to an unsigned type is
+  // undefined, and the sweep starts below 0 dB.
+  const auto seed = static_cast<std::int64_t>(ebn0_db * 7);
+  Rng rng(static_cast<std::uint64_t>(seed) + 5);
   const ViterbiDecoder decoder;
   std::size_t errors = 0, bits = 0;
   for (int trial = 0; trial < 20; ++trial) {

@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "chaos/json.hpp"
+#include "common/json.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
@@ -181,7 +181,7 @@ TEST(SpanChromeTrace, WriterEmitsBalancedTraceEvents) {
   collector.emit(std::move(wall_leaf));
 
   const std::string json = obs::ChromeTraceWriter::to_json(collector.records());
-  EXPECT_TRUE(chaos::json_parse(json).ok()) << json;
+  EXPECT_TRUE(json_parse(json).ok()) << json;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"mac.txop\""), std::string::npos);

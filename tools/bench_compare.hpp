@@ -6,8 +6,9 @@
 // derived, so the logic lives here once:
 //
 //   - flatten a metrics export to "counters.x" / "histograms.z.mean" keys
-//     (numeric leaves only; the schema_version-2 `meta` strings and
-//     bucket arrays are parsed and discarded),
+//     (numeric object leaves only; the schema_version-2 `meta` strings and
+//     bucket arrays are parsed and discarded; a file that does not parse
+//     fails the run),
 //   - aggregate baseline runs (run*/ subdirectories or one flat dir)
 //     into per-metric mean + coefficient of variation,
 //   - tolerance_pct = max(threshold, sigma * cv_pct),
@@ -16,145 +17,74 @@
 //     informational.
 
 #include <algorithm>
-#include <cctype>
+#include <cerrno>
 #include <cmath>
-#include <cstring>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "common/json.hpp"
 
 namespace carpool::benchcmp {
 
 namespace fs = std::filesystem;
 
-// ------------------------------------------------------------------ JSON
-// Minimal recursive-descent parser for the flat metrics schema. Values we
-// care about are numbers; everything else (strings, bools, null) is parsed
-// and discarded.
-
-struct JsonParser {
-  const std::string& text;
-  std::size_t pos = 0;
-  bool failed = false;
-
-  explicit JsonParser(const std::string& t) : text(t) {}
-
-  void skip_ws() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
+/// Add the numeric leaves of `v` to `out` as dotted keys under `prefix`.
+/// Only object members are walked: arrays (histogram buckets), strings
+/// (the `meta` catalog), booleans and null (a non-finite value) are not
+/// metrics.
+inline void flatten_numbers(const JsonValue& v, const std::string& prefix,
+                            std::map<std::string, double>& out) {
+  if (v.is_number()) {
+    out[prefix] = v.as_number();
+    return;
   }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos < text.size() && text[pos] == c) {
-      ++pos;
-      return true;
-    }
-    return false;
+  if (!v.is_object()) return;
+  for (const auto& [key, member] : v.as_object()) {
+    flatten_numbers(member, prefix.empty() ? key : prefix + "." + key, out);
   }
-
-  char peek() {
-    skip_ws();
-    return pos < text.size() ? text[pos] : '\0';
-  }
-
-  std::optional<std::string> parse_string() {
-    if (!consume('"')) return std::nullopt;
-    std::string out;
-    while (pos < text.size() && text[pos] != '"') {
-      if (text[pos] == '\\' && pos + 1 < text.size()) ++pos;
-      out.push_back(text[pos++]);
-    }
-    if (pos >= text.size()) {
-      failed = true;
-      return std::nullopt;
-    }
-    ++pos;  // closing quote
-    return out;
-  }
-
-  std::optional<double> parse_number() {
-    skip_ws();
-    const std::size_t start = pos;
-    while (pos < text.size() &&
-           (std::isdigit(static_cast<unsigned char>(text[pos])) ||
-            std::strchr("+-.eE", text[pos]) != nullptr)) {
-      ++pos;
-    }
-    if (pos == start) return std::nullopt;
-    try {
-      return std::stod(text.substr(start, pos - start));
-    } catch (...) {
-      failed = true;
-      return std::nullopt;
-    }
-  }
-
-  /// Parse any value; numeric leaves land in `out` under `prefix`.
-  void parse_value(const std::string& prefix,
-                   std::map<std::string, double>& out) {
-    const char c = peek();
-    if (c == '{') {
-      consume('{');
-      if (consume('}')) return;
-      do {
-        const auto key = parse_string();
-        if (!key || !consume(':')) {
-          failed = true;
-          return;
-        }
-        parse_value(prefix.empty() ? *key : prefix + "." + *key, out);
-        if (failed) return;
-      } while (consume(','));
-      if (!consume('}')) failed = true;
-    } else if (c == '[') {
-      consume('[');
-      if (consume(']')) return;
-      std::map<std::string, double> discard;  // bucket arrays: not diffed
-      do {
-        parse_value(prefix, discard);
-        if (failed) return;
-      } while (consume(','));
-      if (!consume(']')) failed = true;
-    } else if (c == '"') {
-      if (!parse_string()) failed = true;
-    } else if (c == 't' || c == 'f' || c == 'n') {
-      while (pos < text.size() &&
-             std::isalpha(static_cast<unsigned char>(text[pos]))) {
-        ++pos;
-      }
-    } else {
-      const auto num = parse_number();
-      if (!num) {
-        failed = true;
-        return;
-      }
-      out[prefix] = *num;
-    }
-  }
-};
+}
 
 /// Flatten one metrics file: "counters.x", "gauges.y",
-/// "histograms.z.mean", ... -> value.
-inline std::optional<std::map<std::string, double>> load_metrics(
-    const fs::path& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
+/// "histograms.z.mean", ... -> value. A file that cannot be read or is
+/// not strict JSON throws std::runtime_error naming the file: a gate must
+/// not pass on input it could not read.
+inline std::map<std::string, double> load_metrics(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error(path.string() + ": cannot open");
   std::stringstream buffer;
   buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  JsonParser parser(text);
+  const JsonParseResult doc = json_parse(buffer.str());
+  if (!doc.ok()) {
+    throw std::runtime_error(path.string() + ": " + doc.error.to_string());
+  }
   std::map<std::string, double> flat;
-  parser.parse_value("", flat);
-  if (parser.failed) return std::nullopt;
+  flatten_numbers(*doc.value, "", flat);
   flat.erase("schema_version");
   return flat;
+}
+
+/// Value of --threshold or --sigma, parsed the way soak parses its
+/// numeric flags: the whole text must be a finite number >= 0. Anything
+/// else is a usage error: print it and `usage`, exit 2.
+inline double flag_number(const char* tool, const char* usage,
+                          const std::string& flag, const char* text) {
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end != text && *end == '\0' && errno != ERANGE && std::isfinite(v) &&
+      v >= 0.0) {
+    return v;
+  }
+  std::fprintf(stderr, "%s: %s wants a finite number >= 0, got \"%s\"\n%s",
+               tool, flag.c_str(), text, usage);
+  std::exit(2);
 }
 
 inline bool contains(const std::string& haystack, const char* needle) {
@@ -197,9 +127,7 @@ inline std::map<std::string, BaselineStat> aggregate_baseline(
   for (const fs::path& dir : run_dirs) {
     const fs::path path = dir / file_name;
     if (!fs::exists(path)) continue;
-    const auto metrics = load_metrics(path);
-    if (!metrics) continue;
-    for (const auto& [metric, value] : *metrics) {
+    for (const auto& [metric, value] : load_metrics(path)) {
       samples[metric].push_back(value);
     }
   }

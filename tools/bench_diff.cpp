@@ -24,10 +24,13 @@
 //     with the host and stay informational, p99 included.
 //
 // Everything else is informational: counters like retry totals move with
-// scenario tweaks and should not fail CI. The CI workflow runs this as a
-// BLOCKING step against the committed baselines in bench/baselines/
-// (run1..run5); refresh those by re-running the bench binaries five
-// times and copying each run's BENCH_*.json into its run directory.
+// scenario tweaks and should not fail CI. Exit status 2 means bad usage
+// (such as a --threshold that is not a finite number >= 0) or a
+// BENCH_*.json, baseline or current, that is not strict JSON. The CI
+// workflow runs this as a BLOCKING step against the committed baselines
+// in bench/baselines/ (run1..run5); refresh those by re-running the bench
+// binaries five times and copying each run's BENCH_*.json into its run
+// directory.
 //
 // The flattening/aggregation/tolerance machinery is shared with
 // bench_report (the trend dashboard) via bench_compare.hpp.
@@ -35,6 +38,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -55,31 +59,29 @@ struct Regression {
   double tolerance_pct;
 };
 
-}  // namespace
+constexpr const char* kUsage =
+    "usage: bench_diff <baseline_dir> <current_dir> "
+    "[--threshold <pct>] [--sigma <k>]\n";
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   std::vector<std::string> positional;
   double threshold_pct = 10.0;
   double sigma = 3.0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--threshold" && i + 1 < argc) {
-      threshold_pct = std::stod(argv[++i]);
+      threshold_pct = flag_number("bench_diff", kUsage, arg, argv[++i]);
     } else if (arg == "--sigma" && i + 1 < argc) {
-      sigma = std::stod(argv[++i]);
+      sigma = flag_number("bench_diff", kUsage, arg, argv[++i]);
     } else if (arg == "-h" || arg == "--help") {
-      std::printf(
-          "usage: bench_diff <baseline_dir> <current_dir> "
-          "[--threshold <pct>] [--sigma <k>]\n");
+      std::printf("%s", kUsage);
       return 0;
     } else {
       positional.push_back(arg);
     }
   }
   if (positional.size() != 2) {
-    std::fprintf(stderr,
-                 "usage: bench_diff <baseline_dir> <current_dir> "
-                 "[--threshold <pct>] [--sigma <k>]\n");
+    std::fprintf(stderr, "%s", kUsage);
     return 2;
   }
   const fs::path baseline_dir = positional[0];
@@ -110,8 +112,9 @@ int main(int argc, char** argv) {
     }
     const auto base = aggregate_baseline(run_dirs, name);
     const auto cur = load_metrics(cur_path);
-    if (base.empty() || !cur) {
-      std::fprintf(stderr, "%s: parse failure (skipped)\n", name.c_str());
+    if (base.empty()) {
+      std::fprintf(stderr, "%s: no baseline metrics (skipped)\n",
+                   name.c_str());
       continue;
     }
     ++compared_files;
@@ -120,8 +123,8 @@ int main(int argc, char** argv) {
                 "delta", "tol");
     for (const auto& [metric, stat] : base) {
       if (!reportable(metric)) continue;
-      const auto it = cur->find(metric);
-      if (it == cur->end()) {
+      const auto it = cur.find(metric);
+      if (it == cur.end()) {
         std::printf("%-52s %14.6g %14s\n", metric.c_str(), stat.mean,
                     "(gone)");
         continue;
@@ -150,7 +153,7 @@ int main(int argc, char** argv) {
                                          change_pct, tolerance_pct});
       }
     }
-    for (const auto& [metric, cur_value] : *cur) {
+    for (const auto& [metric, cur_value] : cur) {
       if (reportable(metric) && base.find(metric) == base.end()) {
         std::printf("%-52s %14s %14.6g\n", metric.c_str(), "(new)",
                     cur_value);
@@ -176,4 +179,16 @@ int main(int argc, char** argv) {
       "\nno gated regressions (floor %.1f%%, sigma %.1f, %zu file(s))\n",
       threshold_pct, sigma, compared_files);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    // A metrics file that exists but does not parse: never a pass.
+    std::fprintf(stderr, "bench_diff: %s\n", e.what());
+    return 2;
+  }
 }

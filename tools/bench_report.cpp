@@ -15,11 +15,14 @@
 // metrics, suitable for a CI job summary.
 //
 // Exit codes: 0 = report written (regressions are *reported*, not
-// failed — bench_diff is the blocking gate), 2 = usage or I/O error.
+// failed — bench_diff is the blocking gate), 2 = usage or I/O error,
+// including a BENCH_*.json that exists but is not strict JSON and a
+// report file whose final flush fails.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -149,7 +152,7 @@ std::vector<FileReport> build_reports(const std::vector<fs::path>& run_dirs,
     }
     const auto base = aggregate_baseline(run_dirs, name);
     if (base.empty()) {
-      std::fprintf(stderr, "bench_report: %s: baseline parse failure "
+      std::fprintf(stderr, "bench_report: %s: no baseline metrics "
                    "(skipped)\n", name.c_str());
       continue;
     }
@@ -296,6 +299,7 @@ bool write_html(const std::string& path,
     out << "</table>\n";
   }
   out << "</body></html>\n";
+  out.close();  // flush here: a failed final write must not count as success
   return static_cast<bool>(out);
 }
 
@@ -326,12 +330,17 @@ bool write_markdown(const std::string& path,
       out << " |\n";
     }
   }
+  out.close();  // flush here: a failed final write must not count as success
   return static_cast<bool>(out);
 }
 
-}  // namespace
+constexpr const char* kUsage =
+    "usage: bench_report <baseline_dir> [--current <dir>] "
+    "[--out <report.html>]\n"
+    "                    [--md <summary.md>] [--threshold <pct>] "
+    "[--sigma <k>]\n";
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   std::string baseline_arg;
   std::string current_arg;
   std::string out_path = "bench_report.html";
@@ -355,15 +364,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--md") {
       md_path = next();
     } else if (arg == "--threshold") {
-      threshold_pct = std::stod(next());
+      threshold_pct = flag_number("bench_report", kUsage, arg, next());
     } else if (arg == "--sigma") {
-      sigma = std::stod(next());
+      sigma = flag_number("bench_report", kUsage, arg, next());
     } else if (arg == "-h" || arg == "--help") {
-      std::printf(
-          "usage: bench_report <baseline_dir> [--current <dir>] "
-          "[--out <report.html>]\n"
-          "                    [--md <summary.md>] [--threshold <pct>] "
-          "[--sigma <k>]\n");
+      std::printf("%s", kUsage);
       return 0;
     } else if (baseline_arg.empty()) {
       baseline_arg = arg;
@@ -429,4 +434,16 @@ int main(int argc, char** argv) {
     std::printf("bench_report: %s\n", md_path.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    // A metrics file that exists but does not parse: no report from it.
+    std::fprintf(stderr, "bench_report: %s\n", e.what());
+    return 2;
+  }
 }
