@@ -17,7 +17,6 @@
 #include "obs/registry.hpp"
 #include "par/par.hpp"
 #include "phy/frame.hpp"
-#include "sim/multi_bss.hpp"
 #include "sim/topology.hpp"
 #include "traffic/generators.hpp"
 
@@ -26,28 +25,65 @@ namespace {
 
 constexpr double kBoundaryEps = 1e-9;
 
-/// Multi-BSS context for a topology scenario, built once per campaign:
-/// the AP grid, every STA's mobility path, and the pre-computed
-/// association timeline whose handover instants become episode cuts.
-/// Null for classic single-collision-domain scenarios.
-struct TopoCtx {
-  sim::Topology topo;
-  std::vector<sim::MobilityPath> paths;  ///< indexed by STA id; [0] unused
-  sim::AssociationTimeline timeline;
-};
+/// Where every STA is and which collision domain serves it, built once
+/// per campaign. `paths[sta]` is STA `sta`'s mobility path (empty when it
+/// has no track). With a topology, the campus and its association
+/// timeline answer the domain questions; without one, a campaign is a
+/// single collision domain, domain 0, serving every STA.
+struct Domains {
+  struct Campus {
+    Campus(const Scenario& s, const std::vector<sim::MobilityPath>& paths)
+        : topo(*s.topology, s.power_magnitude),
+          timeline(topo, s.num_stas, paths, s.duration) {}
 
-std::optional<TopoCtx> make_topo_ctx(const Scenario& s) {
-  if (!s.topology.has_value()) return std::nullopt;
-  sim::Topology topo(*s.topology, s.power_magnitude);
-  std::vector<sim::MobilityPath> paths(s.num_stas + 1);
-  for (const MobilityTrack& t : s.mobility) {
-    if (t.sta < paths.size()) {
-      paths[t.sta] = sim::MobilityPath(t.waypoints);
+    sim::Topology topo;
+    sim::AssociationTimeline timeline;
+  };
+
+  Domains() = default;
+  explicit Domains(const Scenario& s) : paths(s.num_stas + 1) {
+    for (const MobilityTrack& t : s.mobility) {
+      if (t.sta < paths.size()) paths[t.sta] = sim::MobilityPath(t.waypoints);
     }
+    if (s.topology.has_value()) campus.emplace(s, paths);
   }
-  sim::AssociationTimeline timeline(topo, s.num_stas, paths, s.duration);
-  return TopoCtx{std::move(topo), std::move(paths), std::move(timeline)};
-}
+
+  [[nodiscard]] std::size_t count() const noexcept {
+    return campus.has_value() ? campus->topo.ap_count() : 1;
+  }
+
+  /// The domain serving `sta` at time `t`: its associated AP.
+  [[nodiscard]] std::size_t serving(mac::NodeId sta, double t) const {
+    return campus.has_value() ? campus->timeline.ap_at(sta, t) : 0;
+  }
+
+  /// The STAs domain `d`'s simulator holds during a slice starting at
+  /// `start`, by local id: members[local - 1] is the global id. Without
+  /// a topology that is every STA under its own id, joined or not, so
+  /// churn never narrows the simulator; with one, the `joined` STAs
+  /// associated with AP `d` (episodes are cut at handover instants, so
+  /// association is constant within the slice).
+  [[nodiscard]] std::vector<mac::NodeId> members(
+      std::size_t d, const std::vector<bool>& joined, double start) const {
+    std::vector<mac::NodeId> out;
+    for (mac::NodeId sta = 1; sta < paths.size(); ++sta) {
+      if (!campus.has_value() || (joined[sta] && serving(sta, start) == d)) {
+        out.push_back(sta);
+      }
+    }
+    return out;
+  }
+
+  /// Extra episode cuts: the roaming handover instants.
+  [[nodiscard]] std::vector<double> handover_times() const {
+    return campus.has_value() ? campus->timeline.handover_times()
+                              : std::vector<double>{};
+  }
+
+  sim::TestbedLayout testbed;  ///< classic SNR map, shadowing positions
+  std::vector<sim::MobilityPath> paths;  ///< indexed by STA id; [0] unused
+  std::optional<Campus> campus;          ///< engaged iff a topology is set
+};
 
 /// One contiguous slice of the timeline with constant membership,
 /// traffic phase, and interference set.
@@ -64,8 +100,7 @@ struct Episode {
 /// `extra_cuts` adds topology handover instants, so within an episode
 /// every STA's association is constant too.
 std::vector<Episode> segment_timeline(const Scenario& s,
-                                      const std::vector<double>& extra_cuts =
-                                          {}) {
+                                      const std::vector<double>& extra_cuts) {
   std::vector<double> cuts{0.0, s.duration};
   for (const ChurnEvent& e : s.churn) cuts.push_back(e.time);
   for (const TrafficPhase& p : s.traffic) cuts.push_back(p.start);
@@ -113,47 +148,29 @@ std::vector<Episode> segment_timeline(const Scenario& s,
   return out;
 }
 
-/// Append the traffic-phase flows of one STA (`sta` is the id the flows
-/// address inside the simulator that consumes them — the global id in the
-/// single-domain path, the domain-local id in a multi-BSS domain).
-void append_flows(std::vector<mac::FlowSpec>& flows, const TrafficPhase& p,
-                  mac::NodeId sta) {
+/// Add the traffic-phase flows of one STA to a domain simulator; `sta` is
+/// the STA's local id in that simulator.
+void add_flows(mac::DomainSim& sim, const TrafficPhase& p, mac::NodeId sta) {
   switch (p.kind) {
     case TrafficKind::kCbr:
-      flows.push_back(traffic::make_cbr_flow(sta, p.frame_bytes,
-                                             p.interval));
+      sim.add_flow(traffic::make_cbr_flow(sta, p.frame_bytes, p.interval));
       break;
-    case TrafficKind::kVoip: {
-      auto call = traffic::make_voip_call(sta);
-      flows.insert(flows.end(), std::make_move_iterator(call.begin()),
-                   std::make_move_iterator(call.end()));
+    case TrafficKind::kVoip:
+      for (mac::FlowSpec& f : traffic::make_voip_call(sta)) {
+        sim.add_flow(std::move(f));
+      }
       break;
-    }
     case TrafficKind::kPoisson:
-      flows.push_back(traffic::make_poisson_flow(
+      sim.add_flow(traffic::make_poisson_flow(
           sta, p.interval, traffic::TraceKind::kLibrary, false));
       break;
-    case TrafficKind::kSigcomm: {
-      auto bg = traffic::make_sigcomm_background(sta);
-      flows.insert(flows.end(), std::make_move_iterator(bg.begin()),
-                   std::make_move_iterator(bg.end()));
-      flows.push_back(traffic::make_cbr_flow(sta, p.frame_bytes,
-                                             p.interval));
+    case TrafficKind::kSigcomm:
+      for (mac::FlowSpec& f : traffic::make_sigcomm_background(sta)) {
+        sim.add_flow(std::move(f));
+      }
+      sim.add_flow(traffic::make_cbr_flow(sta, p.frame_bytes, p.interval));
       break;
-    }
   }
-}
-
-/// Flows for one episode under its traffic phase.
-std::vector<mac::FlowSpec> build_flows(const Episode& ep,
-                                       const Scenario& s) {
-  std::vector<mac::FlowSpec> flows;
-  if (ep.phase == nullptr) return flows;
-  for (mac::NodeId sta = 1; sta <= s.num_stas; ++sta) {
-    if (!ep.joined[sta]) continue;
-    append_flows(flows, *ep.phase, sta);
-  }
-  return flows;
 }
 
 /// PHY decode probe harness: one real Carpool frame per probe pushed
@@ -162,9 +179,9 @@ std::vector<mac::FlowSpec> build_flows(const Episode& ep,
 /// trace is computable up front from the scenario's interference
 /// schedule and the whole probe sequence replays bit for bit.
 ///
-/// Each probe targets one STA, and a multi-BSS campaign runs one harness
-/// per collision domain holding exactly the probes whose target STA is
-/// associated with that domain's AP at probe time: a probe measures the
+/// Each probe targets one STA, and a campaign runs one harness per
+/// collision domain holding exactly the probes whose target STA that
+/// domain serves at probe time: with a topology, a probe measures the
 /// link the STA is actually on, not AP 0's. Domain 0 keeps the legacy
 /// chain salt, so single-domain scenarios are unchanged.
 class ProbeHarness {
@@ -174,35 +191,34 @@ class ProbeHarness {
     std::uint32_t sta = 1;  ///< target STA (global id)
   };
 
-  /// `shadow` (nullable) is the repeat's correlated-shadowing process;
-  /// together with the scenario's recorded SNR trace and the topology
-  /// SINR of the probed link it contributes a per-probe gain offset so
-  /// measured channels reach the real PHY decode path, not just the
-  /// analytic MAC model.
-  ProbeHarness(const Scenario& s, std::uint64_t repeat,
+  /// `shadow` (nullable) is the repeat's correlated-shadowing process.
+  /// Each probe's gain offset is the probed STA's own recorded-trace
+  /// sample and shadowing offset, plus, with a topology, the SINR of its
+  /// link to this domain's AP; measured channels thus reach the real PHY
+  /// decode path, not just the analytic MAC model. Without a topology a
+  /// probe takes no mobility offset.
+  ProbeHarness(const Scenario& s, const Domains& domains,
+               std::uint64_t repeat,
                const channel::CorrelatedShadowing* shadow,
-               const TopoCtx* topo, std::uint32_t domain,
-               std::vector<Probe> probes)
+               std::uint32_t domain, std::vector<Probe> probes)
       : chain_(derive_seed(s.seed, repeat, 0x70726f62ULL + domain)),
         probes_(std::move(probes)) {
     if (probes_.empty()) return;
     // Recorded-trace / shadowing / topology gain per probe, applied
     // before the interference stage (signal power moves first,
-    // interference power is layered on top). Offsets are evaluated for
-    // the probe's target STA on its associated AP's link.
-    if (!s.snr_trace.empty() || shadow != nullptr || topo != nullptr) {
-      static const sim::MobilityPath kNoPath;
+    // interference power is layered on top).
+    const bool campus = domains.campus.has_value();
+    if (!s.snr_trace.empty() || shadow != nullptr || campus) {
       impair::SnrOffsetTraceConfig offsets;
       offsets.offset_db.resize(probes_.size(), 0.0);
       for (std::size_t i = 0; i < probes_.size(); ++i) {
         const double t = probes_[i].time;
         const std::uint32_t sta = probes_[i].sta;
         double off = 0.0;
-        if (topo != nullptr) {
-          const sim::MobilityPath& path =
-              sta < topo->paths.size() ? topo->paths[sta] : kNoPath;
-          off += topo->topo.sinr_db(domain,
-                                    topo->topo.position(sta, path, t)) -
+        if (campus) {
+          const sim::Topology& topo = domains.campus->topo;
+          off += topo.sinr_db(domain,
+                              topo.position(sta, domains.paths[sta], t)) -
                  s.default_snr_db;
         }
         if (!s.snr_trace.empty()) {
@@ -285,13 +301,10 @@ class ProbeHarness {
 
 /// The whole timeline's probe schedule, partitioned by collision domain:
 /// probe k fires at (k+1)*probe_interval and targets STA (k % num_stas)+1;
-/// its domain is that STA's associated AP at probe time (always 0 without
-/// a topology — the classic single-domain schedule, unchanged).
+/// its domain is the one serving that STA at probe time.
 std::vector<std::vector<ProbeHarness::Probe>> plan_probes(
-    const Scenario& s, const TopoCtx* topo) {
-  const std::size_t n_domains =
-      topo != nullptr ? topo->topo.ap_count() : 1;
-  std::vector<std::vector<ProbeHarness::Probe>> plan(n_domains);
+    const Scenario& s, const Domains& domains) {
+  std::vector<std::vector<ProbeHarness::Probe>> plan(domains.count());
   if (s.probe_interval <= 0.0 || s.num_stas == 0) return plan;
   std::size_t k = 0;
   for (double t = s.probe_interval; t < s.duration;
@@ -299,9 +312,7 @@ std::vector<std::vector<ProbeHarness::Probe>> plan_probes(
     ProbeHarness::Probe probe;
     probe.time = t;
     probe.sta = static_cast<std::uint32_t>(k % s.num_stas) + 1;
-    std::size_t domain = 0;
-    if (topo != nullptr) domain = topo->timeline.ap_at(probe.sta, t);
-    plan[domain].push_back(probe);
+    plan[domains.serving(probe.sta, t)].push_back(probe);
   }
   return plan;
 }
@@ -331,38 +342,27 @@ struct RepeatOutcome {
   bool stopped = false;  ///< a stop event fired (violation/inject/budget)
 };
 
-RepeatOutcome run_one_repeat(const Scenario& s,
+RepeatOutcome run_one_repeat(const Scenario& s, const Domains& domains,
                              const std::vector<Episode>& episodes,
-                             const TopoCtx* topo, std::size_t repeat,
-                             std::uint64_t campaign_base,
+                             std::size_t repeat, std::uint64_t campaign_base,
                              const SoakOptions& opts, bool live) {
   RepeatOutcome out;
 
   // Correlated shadowing (channel/shadowing.hpp): one process per repeat
   // spanning the whole timeline, seeded from (scenario seed, repeat) so
   // serial and detached passes see identical offsets. Station positions
-  // come from the first mobility waypoint when present, else the testbed
-  // layout's receiver grid.
-  const sim::TestbedLayout shadow_layout;
+  // come from the first waypoint of the STA's mobility path when it has
+  // one, else the testbed layout's receiver grid.
   std::optional<channel::CorrelatedShadowing> shadowing;
   if (s.shadowing.has_value() && s.num_stas > 0) {
+    const std::vector<sim::Point>& grid = domains.testbed.receivers();
     std::vector<std::pair<double, double>> positions;
     positions.reserve(s.num_stas);
     for (std::uint32_t sta = 1; sta <= s.num_stas; ++sta) {
-      const sim::Point* p = nullptr;
-      for (const MobilityTrack& t : s.mobility) {
-        if (t.sta == sta && !t.waypoints.empty()) {
-          p = &t.waypoints.front().p;
-          break;
-        }
-      }
-      if (p != nullptr) {
-        positions.emplace_back(p->x, p->y);
-      } else {
-        const auto& rx = shadow_layout.receivers();
-        const sim::Point& q = rx[(sta - 1) % rx.size()];
-        positions.emplace_back(q.x, q.y);
-      }
+      const sim::MobilityPath& path = domains.paths[sta];
+      const sim::Point p = path.empty() ? grid[(sta - 1) % grid.size()]
+                                        : path.waypoints().front().p;
+      positions.emplace_back(p.x, p.y);
     }
     channel::ShadowingConfig sc;
     sc.sigma_db = s.shadowing->sigma_db;
@@ -376,15 +376,14 @@ RepeatOutcome run_one_repeat(const Scenario& s,
       shadowing.has_value() ? &*shadowing : nullptr;
 
   // One probe harness per collision domain, each holding the probes whose
-  // target STA is associated with that domain (always one domain, all
-  // probes, without a topology).
+  // target STA that domain serves.
   std::vector<std::vector<ProbeHarness::Probe>> probe_plan =
-      plan_probes(s, topo);
+      plan_probes(s, domains);
   const std::size_t n_domains = probe_plan.size();
   std::vector<ProbeHarness> probes;
   probes.reserve(n_domains);
   for (std::size_t d = 0; d < n_domains; ++d) {
-    probes.emplace_back(s, repeat, shadow, topo,
+    probes.emplace_back(s, domains, repeat, shadow,
                         static_cast<std::uint32_t>(d),
                         std::move(probe_plan[d]));
   }
@@ -406,29 +405,15 @@ RepeatOutcome run_one_repeat(const Scenario& s,
     summary.stop = ep.stop;
     summary.intensity = ep.max_intensity;
 
-    // One collision domain per AP, run sequentially in AP order (the
-    // multi-BSS serial reference; whole-repeat sharding happens a level
-    // up). The classic path is the one-domain special case.
+    // One collision domain at a time, in domain order (whole-repeat
+    // sharding happens a level up).
     for (std::size_t d = 0; d < n_domains && !stop_episode; ++d) {
-      // STAs this domain serves during the episode: joined, and (with a
-      // topology) associated with AP `d` for the whole slice — episodes
-      // are cut at handover instants, so association is constant here.
-      std::vector<mac::NodeId> members;
-      for (mac::NodeId sta = 1; sta <= s.num_stas; ++sta) {
-        if (!ep.joined[sta]) continue;
-        if (topo != nullptr &&
-            topo->timeline.ap_at(sta, ep.start) != d) {
-          continue;
-        }
-        members.push_back(sta);
-      }
-      if (topo != nullptr && members.empty()) {
-        // An AP serving nobody this slice has no collision domain to
-        // run; its pending probes fire at catch-up the next time the
-        // domain is active. The classic path never skips: it always ran
-        // a full-width simulator even when churn emptied the cell.
-        continue;
-      }
+      std::vector<mac::NodeId> members = domains.members(d, ep.joined,
+                                                         ep.start);
+      // An AP serving nobody this slice has no collision domain to run;
+      // its pending probes fire at catch-up the next time the domain is
+      // active.
+      if (members.empty()) continue;
 
       const std::uint64_t frame_base =
           campaign_base + out.judged + episode_judged_total;
@@ -438,92 +423,52 @@ RepeatOutcome run_one_repeat(const Scenario& s,
       cfg.duration = ep.stop - ep.start;
       cfg.link_policy = s.link_policy;
       cfg.default_snr_db = s.default_snr_db;
+      cfg.num_stas = members.size();
+      const std::uint64_t episode_seed = derive_seed(s.seed, repeat, ei);
+      cfg.seed = domains.campus.has_value()
+                     ? derive_seed(episode_seed, d, ei)
+                     : episode_seed;
 
-      if (topo == nullptr) {
-        // Single collision domain: global STA numbering, mobility over
-        // the testbed pathloss map.
-        cfg.num_stas = s.num_stas;
-        cfg.seed = derive_seed(s.seed, repeat, ei);
-
-        // Time-varying SNR: mobility via the testbed pathloss map, plus
-        // the penalty of every interference episode in force at the
-        // absolute time of the judgement.
-        const sim::TestbedLayout layout;
-        std::vector<sim::MobilityPath> paths(s.num_stas + 1);
-        std::vector<bool> has_path(s.num_stas + 1, false);
-        for (const MobilityTrack& t : s.mobility) {
-          if (t.sta < paths.size()) {
-            paths[t.sta] = sim::MobilityPath(t.waypoints);
-            has_path[t.sta] = true;
-          }
-        }
-        cfg.sta_snr_fn = [&s, layout, paths = std::move(paths),
-                          has_path = std::move(has_path), ep_start,
-                          shadow](mac::NodeId sta, double now) {
-          const double t = ep_start + now;
-          double snr = s.default_snr_db;
-          if (sta < has_path.size() && has_path[sta]) {
-            snr = layout.snr_db_along(paths[sta], t, s.power_magnitude);
-          }
-          // Recorded channel: where the capture has samples for this STA
-          // the measured SNR replaces the synthetic base (step-hold
-          // between samples); interference penalties and shadowing still
-          // layer on.
-          if (!s.snr_trace.empty()) {
-            snr = s.snr_trace.snr_at(static_cast<std::uint32_t>(sta), t,
-                                     snr);
-          }
-          for (const InterferenceEpisode& e : s.interference) {
-            if (t < e.start || t >= e.stop) continue;
-            if (!e.stas.empty() &&
-                std::find(e.stas.begin(), e.stas.end(),
-                          static_cast<std::uint32_t>(sta)) ==
-                    e.stas.end()) {
-              continue;
-            }
-            snr -= e.snr_penalty_db;
-          }
-          if (shadow != nullptr && sta >= 1) {
-            snr += shadow->offset_db(static_cast<std::size_t>(sta) - 1, t);
-          }
-          return snr;
-        };
-      } else {
-        // Multi-BSS domain: local STA numbering (local l = members[l-1]),
-        // SNR base from the topology SINR of this AP at the STA's
-        // position; recorded traces, interference penalties, and
-        // shadowing layer on top exactly as in the single-domain path.
-        cfg.num_stas = members.size();
-        cfg.seed = sim::MultiBssSim::domain_seed(
-            derive_seed(s.seed, repeat, ei), d, ei);
-        cfg.sta_snr_fn = [&s,
-                          sinr = sim::DomainSinr(topo->topo, d, members,
-                                                 topo->paths, ep_start),
-                          members, ep_start,
-                          shadow](mac::NodeId local, double now) {
-          const double t = ep_start + now;
-          const mac::NodeId sta = members[local - 1];
-          double snr = sinr(local, now);
-          if (!s.snr_trace.empty()) {
-            snr = s.snr_trace.snr_at(static_cast<std::uint32_t>(sta), t,
-                                     snr);
-          }
-          for (const InterferenceEpisode& e : s.interference) {
-            if (t < e.start || t >= e.stop) continue;
-            if (!e.stas.empty() &&
-                std::find(e.stas.begin(), e.stas.end(),
-                          static_cast<std::uint32_t>(sta)) ==
-                    e.stas.end()) {
-              continue;
-            }
-            snr -= e.snr_penalty_db;
-          }
-          if (shadow != nullptr && sta >= 1) {
-            snr += shadow->offset_db(static_cast<std::size_t>(sta) - 1, t);
-          }
-          return snr;
-        };
+      // Time-varying SNR of local STA `local` (global id
+      // members[local - 1]) at the absolute time of the judgement. The
+      // base is the topology SINR of this domain's AP at the STA's
+      // position, or without a topology the testbed pathloss map along
+      // the STA's mobility path (default_snr_db without one). A recorded
+      // trace replaces the base where the capture has samples for the
+      // STA (step-hold between samples); the penalty of every
+      // interference episode in force and the shadowing offset layer on.
+      std::optional<sim::DomainSinr> sinr;
+      if (domains.campus.has_value()) {
+        sinr.emplace(domains.campus->topo, d, members, domains.paths,
+                     ep_start);
       }
+      cfg.sta_snr_fn = [&s, &domains, sinr = std::move(sinr), members,
+                        ep_start, shadow](mac::NodeId local, double now) {
+        const double t = ep_start + now;
+        const mac::NodeId sta = members[local - 1];
+        double snr = s.default_snr_db;
+        if (sinr.has_value()) {
+          snr = (*sinr)(local, now);
+        } else if (!domains.paths[sta].empty()) {
+          snr = domains.testbed.snr_db_along(domains.paths[sta], t,
+                                             s.power_magnitude);
+        }
+        if (!s.snr_trace.empty()) {
+          snr = s.snr_trace.snr_at(sta, t, snr);
+        }
+        for (const InterferenceEpisode& e : s.interference) {
+          if (t < e.start || t >= e.stop) continue;
+          if (!e.stas.empty() &&
+              std::find(e.stas.begin(), e.stas.end(), sta) == e.stas.end()) {
+            continue;
+          }
+          snr -= e.snr_penalty_db;
+        }
+        if (shadow != nullptr) {
+          snr += shadow->offset_db(static_cast<std::size_t>(sta) - 1, t);
+        }
+        return snr;
+      };
 
       StepInvariants checker(frame_base, ep.start, ei, repeat,
                              &out.margins);
@@ -586,17 +531,12 @@ RepeatOutcome run_one_repeat(const Scenario& s,
       };
 
       mac::DomainSim sim(cfg, static_cast<std::uint32_t>(d));
-      if (topo == nullptr) {
-        for (mac::FlowSpec& f : build_flows(ep, s)) {
-          sim.add_flow(std::move(f));
-        }
-      } else if (ep.phase != nullptr) {
-        std::vector<mac::FlowSpec> flows;
+      if (ep.phase != nullptr) {
         for (std::size_t local = 1; local <= members.size(); ++local) {
-          append_flows(flows, *ep.phase,
-                       static_cast<mac::NodeId>(local));
+          if (ep.joined[members[local - 1]]) {
+            add_flows(sim, *ep.phase, static_cast<mac::NodeId>(local));
+          }
         }
-        for (mac::FlowSpec& f : flows) sim.add_flow(std::move(f));
       }
       const mac::SimResult res = sim.run();
 
@@ -627,7 +567,7 @@ RepeatOutcome run_one_repeat(const Scenario& s,
       out.sim_seconds += res.duration;
       summary.goodput_bps +=
           res.downlink_goodput_bps + res.uplink_goodput_bps;
-      if (topo != nullptr) {
+      if (domains.campus.has_value()) {
         obs::Registry::current().counter("sim.bss_domain_runs").add();
       }
     }
@@ -687,26 +627,20 @@ bool repeat_is_stopping(const RepeatOutcome& o, const Scenario& s,
 
 }  // namespace
 
-std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t repeat,
-                          std::uint64_t salt) noexcept {
-  std::uint64_t sm = seed ^ (0x9e3779b97f4a7c15ULL * (repeat + 1)) ^
-                     (0xbf58476d1ce4e5b9ULL * (salt + 1));
-  return splitmix64(sm);
-}
-
 SoakReport SoakRunner::run(const Scenario& scenario) const {
   // Everything a detached repeat job reads lives in this jointly-owned
   // block: parallel wave jobs capture the shared_ptr by value, so a
   // watchdog-abandoned attempt thread (detached in
   // par::detail::run_attempt_with_watchdog) that outlives this frame —
-  // or this SoakRunner — still runs against live scenario, episode,
-  // topology, and option state instead of dangling references. Episode
+  // or this SoakRunner — still runs against live scenario, domain,
+  // episode, and option state instead of dangling references. Episode
   // phase pointers alias ctx->s.traffic, which is why the scenario and
-  // its episodes must share one lifetime.
+  // its episodes must share one lifetime; the SNR hooks of a repeat's
+  // simulators point into ctx->domains.
   struct CampaignCtx {
     Scenario s;
     SoakOptions opts;
-    std::optional<TopoCtx> topo;
+    Domains domains;
     std::vector<Episode> episodes;
   };
   auto ctx = std::make_shared<CampaignCtx>();
@@ -789,32 +723,23 @@ SoakReport SoakRunner::run(const Scenario& scenario) const {
     obs::Registry::current().counter("chaos.campaigns").add();
   }
 
-  // Multi-BSS topology: build the campus once per campaign and cut the
-  // timeline at handover instants so every episode slice has constant
-  // associations (docs/MULTI_AP.md).
-  ctx->topo = make_topo_ctx(s);
-  const TopoCtx* topo = ctx->topo.has_value() ? &*ctx->topo : nullptr;
-  if (topo != nullptr && !report.resumed) {
+  // Collision domains, built once per campaign: every STA's mobility
+  // path and, with a topology, the campus, whose handover instants cut
+  // the timeline so every episode slice has constant associations
+  // (docs/MULTI_AP.md).
+  ctx->domains = Domains(s);
+  const Domains& domains = ctx->domains;
+  if (domains.campus.has_value() && !report.resumed) {
+    const sim::Topology& topo = domains.campus->topo;
     obs::Registry& reg = obs::Registry::current();
     reg.counter("mac.roam_handover")
-        .add(topo->timeline.handovers().size());
-    reg.set_gauge("sim.bss_ap_count",
-                  static_cast<double>(topo->topo.ap_count()));
-    std::size_t cochannel_pairs = 0;
-    for (std::size_t a = 0; a < topo->topo.ap_count(); ++a) {
-      for (std::size_t b = a + 1; b < topo->topo.ap_count(); ++b) {
-        if (topo->topo.channel_of(a) == topo->topo.channel_of(b)) {
-          ++cochannel_pairs;
-        }
-      }
-    }
+        .add(domains.campus->timeline.handovers().size());
+    reg.set_gauge("sim.bss_ap_count", static_cast<double>(topo.ap_count()));
     reg.set_gauge("sim.bss_cochannel_pairs",
-                  static_cast<double>(cochannel_pairs));
+                  static_cast<double>(topo.cochannel_pairs()));
   }
 
-  ctx->episodes = segment_timeline(
-      s, topo != nullptr ? topo->timeline.handover_times()
-                         : std::vector<double>{});
+  ctx->episodes = segment_timeline(s, domains.handover_times());
   const std::vector<Episode>& episodes = ctx->episodes;
   // A single-pass run (max_frames == 0) has exactly one repeat.
   const std::size_t max_repeats =
@@ -879,10 +804,8 @@ SoakReport SoakRunner::run(const Scenario& scenario) const {
     const std::uint64_t live_base = report.frames_judged;
     const auto repeat_job = [ctx, base,
                              live_base](const par::ShardInfo& info) {
-      const TopoCtx* job_topo =
-          ctx->topo.has_value() ? &*ctx->topo : nullptr;
       const bool live = info.index == 0;
-      return run_one_repeat(ctx->s, ctx->episodes, job_topo,
+      return run_one_repeat(ctx->s, ctx->domains, ctx->episodes,
                             base + info.index, live ? live_base : 0,
                             ctx->opts, live);
     };
@@ -913,8 +836,8 @@ SoakReport SoakRunner::run(const Scenario& scenario) const {
       RepeatOutcome& o = shards.results[i];
       if (i > 0 &&
           repeat_is_stopping(o, s, opts_, report.frames_judged)) {
-        o = run_one_repeat(s, episodes, topo, repeat, report.frames_judged,
-                           opts_, /*live=*/true);
+        o = run_one_repeat(s, domains, episodes, repeat,
+                           report.frames_judged, opts_, /*live=*/true);
       } else {
         obs::Registry::current().merge_from(*shards.metrics[i]);
         // Span buffers follow the same consume-or-discard rule as shard

@@ -3,20 +3,26 @@
 // carpool::chaos — the soak engine (docs/SOAK.md).
 //
 // SoakRunner executes a Scenario as a campaign: the timeline is split
-// into episodes at churn, traffic-phase, and interference boundaries;
-// each episode runs one MAC Simulator whose observer evaluates the
+// into episodes at churn, traffic-phase, interference, and roaming
+// handover boundaries, and each episode runs one mac::DomainSim per
+// collision domain, in domain order. A scenario without a topology is
+// the one-domain case: a single simulator holding every STA under its
+// own id. With a topology each AP is a domain holding the joined STAs
+// associated with it. Every simulator's observer evaluates the
 // cross-layer invariants (chaos/invariants.hpp) after every resolved
-// channel event and fires real PHY decode probes through a trace-gated
-// ImpairmentChain on the scenario's probe schedule. With a frame budget
-// the timeline repeats (fresh derived seeds per repeat) until the budget
-// is spent — `tools/soak --frames 1000000` style campaigns.
+// channel event and fires the domain's real PHY decode probes through a
+// trace-gated ImpairmentChain on the scenario's probe schedule. With a
+// frame budget the timeline repeats (fresh derived seeds per repeat)
+// until the budget is spent — `tools/soak --frames 1000000` style
+// campaigns.
 //
 // Determinism: every RNG stream is derived from (scenario seed, repeat,
-// episode) via splitmix64, and the campaign-wide reception-judgement
-// count is the frame coordinate. A Violation therefore pins an exact
-// (scenario, seed, frame) triple; the emitted ReproBundle replays it bit
-// for bit, and the shrinker (chaos/shrink.hpp) delta-debugs the timeline
-// while preserving that reproduction.
+// episode) via derive_seed (common/rng.hpp), and the campaign-wide
+// reception-judgement count is the frame coordinate. A Violation
+// therefore pins an exact (scenario, seed, frame) triple; the emitted
+// ReproBundle replays it bit for bit, and the shrinker
+// (chaos/shrink.hpp) delta-debugs the timeline while preserving that
+// reproduction.
 
 #include <cstdint>
 #include <optional>
@@ -193,10 +199,8 @@ struct ReplayResult {
 /// step/probe/injected violation, not a whole-campaign statistic.
 [[nodiscard]] ReplayResult replay_bundle(const ReproBundle& bundle);
 
-/// Derived-seed helper shared by the runner and tests: one splitmix64
-/// step over a (seed, repeat, salt) mix.
-[[nodiscard]] std::uint64_t derive_seed(std::uint64_t seed,
-                                        std::uint64_t repeat,
-                                        std::uint64_t salt) noexcept;
+/// The runner's seeds come from (scenario seed, repeat, salt) through
+/// the library's one seed mixer (common/rng.hpp).
+using carpool::derive_seed;
 
 }  // namespace carpool::chaos

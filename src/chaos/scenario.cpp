@@ -136,9 +136,18 @@ bool parse_mobility(Ctx& ctx, const JsonValue& v, Scenario& s) {
       return ctx.fail(path + "sta", "must be in [1, num_stas]");
     }
     track.sta = static_cast<std::uint32_t>(sta);
+    for (std::size_t j = 0; j < s.mobility.size(); ++j) {
+      if (s.mobility[j].sta == track.sta) {
+        return ctx.fail(path + "sta", "STA already has a track (mobility[" +
+                                          std::to_string(j) + "])");
+      }
+    }
     const JsonValue* wps = t.find("waypoints");
     if (wps == nullptr || !wps->is_array()) {
       return ctx.fail(path + "waypoints", "expected an array");
+    }
+    if (wps->as_array().empty()) {
+      return ctx.fail(path + "waypoints", "need at least one waypoint");
     }
     double prev_t = -std::numeric_limits<double>::infinity();
     for (std::size_t w = 0; w < wps->as_array().size(); ++w) {

@@ -99,7 +99,7 @@ struct Scenario {
   double probe_interval = 0.0;     ///< PHY decode probe period; 0 = off
   mac::LinkPolicyConfig link_policy{};  ///< defaults: all layers off
 
-  std::vector<MobilityTrack> mobility;
+  std::vector<MobilityTrack> mobility;  ///< at most one track per STA
   std::vector<InterferenceEpisode> interference;
   std::vector<ChurnEvent> churn;
   std::vector<TrafficPhase> traffic;
@@ -107,10 +107,13 @@ struct Scenario {
 
   /// Multi-BSS topology (sim/topology.hpp): AP grid + channel reuse plan
   /// + roaming parameters. When set, the runner segments episodes at
-  /// handover instants, runs one collision domain per AP, derives each
-  /// STA's SNR base from the topology SINR of its *associated* AP, and
-  /// decode probes target that AP too. Disengaged = the classic single
-  /// implicit collision domain.
+  /// handover instants, runs one collision domain per AP over the joined
+  /// STAs associated with it, seeds each domain from the episode seed
+  /// and the AP index, derives each STA's SNR base from the topology
+  /// SINR of its *associated* AP, and decode probes target that AP too.
+  /// Disengaged = the classic scenario: one collision domain holding
+  /// every STA, seeded from the episode seed, with the testbed SNR map
+  /// (or default_snr_db) as the SNR base.
   std::optional<sim::TopologySpec> topology;
 
   /// Recorded per-STA SNR timeline (chaos/snr_trace.hpp); where samples

@@ -91,22 +91,6 @@ double SnrTrace::snr_at(std::uint32_t sta, double time,
   return std::prev(up)->second;
 }
 
-double SnrTrace::mean_snr_at(double time, double fallback_db) const {
-  double sum = 0.0;
-  std::size_t n = 0;
-  for (const auto& [sta, series] : per_sta_) {
-    auto up = std::upper_bound(
-        series.begin(), series.end(), time,
-        [](double t, const std::pair<double, double>& s) {
-          return t < s.first;
-        });
-    if (up == series.begin()) continue;
-    sum += std::prev(up)->second;
-    ++n;
-  }
-  return n > 0 ? sum / static_cast<double>(n) : fallback_db;
-}
-
 SnrTraceParseResult snr_trace_from_csv(std::string_view text) {
   SnrTraceParseResult out;
   std::vector<SnrSample> samples;

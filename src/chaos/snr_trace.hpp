@@ -51,14 +51,11 @@ class SnrTrace {
   /// Step-hold lookup: the value of STA `sta`'s latest sample at or
   /// before `time`. Before the STA's first sample — or when the STA has
   /// no samples at all — `fallback_db` (the scenario's synthetic SNR) is
-  /// returned, so a partial capture degrades gracefully.
+  /// returned, so a partial capture degrades gracefully. The soak runner
+  /// reads it for the STA it judges a frame for, and for the STA a
+  /// decode probe targets.
   [[nodiscard]] double snr_at(std::uint32_t sta, double time,
                               double fallback_db) const;
-
-  /// Step-hold mean over every STA that has a sample at or before
-  /// `time`; `fallback_db` when none does. The probe harness uses this
-  /// as the frame-level channel quality of a broadcast probe.
-  [[nodiscard]] double mean_snr_at(double time, double fallback_db) const;
 
   /// Largest STA id appearing in the trace (0 when empty).
   [[nodiscard]] std::uint32_t max_sta() const noexcept { return max_sta_; }

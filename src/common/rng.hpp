@@ -21,6 +21,17 @@ constexpr std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   return z ^ (z >> 31);
 }
 
+/// One seed per (seed, index, salt) triple: XOR-fold the coordinates with
+/// odd constants, then one splitmix64 step. The +1 offsets keep (0, 0)
+/// from collapsing to the raw seed. The soak runner's episode, probe and
+/// shadowing seeds and the multi-BSS domain seeds all come from it.
+constexpr std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t index,
+                                    std::uint64_t salt) noexcept {
+  std::uint64_t sm = seed ^ (0x9e3779b97f4a7c15ULL * (index + 1)) ^
+                     (0xbf58476d1ce4e5b9ULL * (salt + 1));
+  return splitmix64(sm);
+}
+
 /// xoshiro256** PRNG (Blackman & Vigna). Fast, high quality, 2^256-1
 /// period. Satisfies std::uniform_random_bit_generator.
 class Rng {

@@ -4,18 +4,14 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/rng.hpp"
+
 namespace carpool::par {
 
 namespace {
 
-/// splitmix64: the repo's standard cheap seeded mixer (chaos::derive_seed
-/// uses the same constants). Deterministic in its inputs, stateless.
-std::uint64_t mix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
+/// One stateless splitmix64 step over `x`. Deterministic in its inputs.
+std::uint64_t mix64(std::uint64_t x) noexcept { return splitmix64(x); }
 
 }  // namespace
 

@@ -22,19 +22,6 @@ MultiBssSim::MultiBssSim(MultiBssConfig config)
   }
 }
 
-std::uint64_t MultiBssSim::domain_seed(std::uint64_t seed, std::size_t ap,
-                                       std::size_t epoch) noexcept {
-  // Same whitening recipe as chaos::derive_seed: XOR-fold the coordinates
-  // with odd constants, then splitmix64. +1 offsets keep (0, 0) from
-  // collapsing to the raw campaign seed.
-  std::uint64_t s = seed ^
-                    0x9e3779b97f4a7c15ULL * (static_cast<std::uint64_t>(ap) +
-                                             1) ^
-                    0xbf58476d1ce4e5b9ULL *
-                        (static_cast<std::uint64_t>(epoch) + 1);
-  return splitmix64(s);
-}
-
 mac::SimConfig MultiBssSim::domain_config(
     std::size_t epoch, std::size_t ap, double start, double stop,
     const std::vector<mac::NodeId>& stas) const {
@@ -45,7 +32,7 @@ mac::SimConfig MultiBssSim::domain_config(
   cfg.link_policy = config_.link_policy;
   cfg.num_stas = stas.size();
   cfg.duration = stop - start;
-  cfg.seed = domain_seed(config_.seed, ap, epoch);
+  cfg.seed = derive_seed(config_.seed, ap, epoch);
   // Shadowing or trace overlays compose on top of this hook exactly as in
   // the single-BSS path.
   cfg.sta_snr_fn = DomainSinr(topo_, ap, stas, config_.paths, start);
@@ -128,15 +115,9 @@ MultiBssResult MultiBssSim::run() {
   reg.counter("sim.bss_epochs").add(epochs);
   reg.counter("sim.bss_domains").add(out.domains_simulated);
   reg.counter("sim.bss_domains_idle").add(out.domains_idle);
-  std::size_t cochannel_pairs = 0;
-  for (std::size_t a = 0; a < ap_count; ++a) {
-    for (std::size_t b = a + 1; b < ap_count; ++b) {
-      if (topo_.channel_of(a) == topo_.channel_of(b)) ++cochannel_pairs;
-    }
-  }
   reg.set_gauge("sim.bss_ap_count", static_cast<double>(ap_count));
   reg.set_gauge("sim.bss_cochannel_pairs",
-                static_cast<double>(cochannel_pairs));
+                static_cast<double>(topo_.cochannel_pairs()));
   return out;
 }
 

@@ -8,10 +8,10 @@
 // association is constant, so each AP's collision domain is an
 // independent simulation: a pure job of (config, topology, epoch, ap)
 // that carpool::par can run on any thread. Jobs derive their RNG stream
-// from domain_seed(seed, ap, epoch) — never from thread ids or
-// schedule — and results merge in (epoch, ap) index order, which is why
-// a 1000-AP campaign produces bit-identical results and metric
-// fingerprints at any --threads count (docs/MULTI_AP.md,
+// from derive_seed(seed, ap, epoch) (common/rng.hpp) — never from
+// thread ids or schedule — and results merge in (epoch, ap) index
+// order, which is why a 1000-AP campaign produces bit-identical results
+// and metric fingerprints at any --threads count (docs/MULTI_AP.md,
 // docs/PARALLELISM.md).
 //
 // Co-channel interference enters through a DomainSinr (Topology::sinr_db
@@ -90,14 +90,6 @@ class MultiBssSim {
   /// Throws std::invalid_argument on zero STAs or non-positive duration
   /// (TopologySpec validation happens in Topology's constructor).
   explicit MultiBssSim(MultiBssConfig config);
-
-  /// The RNG seed of collision domain `ap` during `epoch`: a pure
-  /// function of the campaign seed, exposed so tests can rebuild any
-  /// single domain with a plain mac::Simulator and reproduce it bit for
-  /// bit (the 2-BSS regression anchor).
-  [[nodiscard]] static std::uint64_t domain_seed(std::uint64_t seed,
-                                                 std::size_t ap,
-                                                 std::size_t epoch) noexcept;
 
   [[nodiscard]] const MultiBssConfig& config() const noexcept {
     return config_;

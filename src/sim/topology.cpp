@@ -83,6 +83,16 @@ std::size_t Topology::channel_of(std::size_t ap) const noexcept {
   return ap % spec_.channel_count;
 }
 
+std::size_t Topology::cochannel_pairs() const noexcept {
+  std::size_t pairs = 0;
+  for (std::size_t a = 0; a < spec_.ap_count; ++a) {
+    for (std::size_t b = a + 1; b < spec_.ap_count; ++b) {
+      if (channel_of(a) == channel_of(b)) ++pairs;
+    }
+  }
+  return pairs;
+}
+
 std::size_t Topology::home_ap(mac::NodeId sta) const noexcept {
   if (sta == mac::kApNode) return 0;
   return static_cast<std::size_t>(sta - 1) % spec_.ap_count;

@@ -85,6 +85,10 @@ class Topology {
   /// Frequency reuse plan: channel of AP `ap` (= ap % channel_count).
   [[nodiscard]] std::size_t channel_of(std::size_t ap) const noexcept;
 
+  /// Unordered AP pairs sharing a channel (the sim.bss_cochannel_pairs
+  /// gauge).
+  [[nodiscard]] std::size_t cochannel_pairs() const noexcept;
+
   /// The AP a STA's fixed location is scattered around: (sta-1) % ap_count,
   /// so STA ids round-robin across BSSes.
   [[nodiscard]] std::size_t home_ap(mac::NodeId sta) const noexcept;
