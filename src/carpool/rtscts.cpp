@@ -103,7 +103,7 @@ CarpoolRtsResult receive_carpool_rts(std::span<const Cx> waveform,
     const CxVec bins =
         extract_symbol(wave.subspan(pos + (1 + j) * kSymbolLen, kSymbolLen));
     const SymbolEqualization eq = equalize_symbol(bins, fe.h, sym_idx + 1 + j);
-    demap_symbol_soft(eq.data, eq.gains, m, soft);
+    demap_symbol_soft(eq.data, eq.gains, m.modulation, soft);
   }
   const auto psdu = decode_data_bits(soft, m, sig->length_bytes);
   if (!psdu) return result;

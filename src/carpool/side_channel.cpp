@@ -48,31 +48,39 @@ unsigned bits_for_phase_delta(PhaseMod mod, double delta) noexcept {
   return d > -deg(90.0) ? 0b01u : 0b00u;  // -45 vs -135
 }
 
-const BitCrc& crc_for_width(std::size_t width) {
+const BitCrc* find_crc_for_width(std::size_t width) noexcept {
   static const BitCrc crc1{1, 0x1};  // parity
   static const BitCrc crc3{3, 0x3};  // x^3 + x + 1
   static const BitCrc crc5{5, 0x05};
   static const BitCrc crc6{6, 0x03};
   switch (width) {
     case 1:
-      return crc1;
+      return &crc1;
     case 2:
-      return crc2();
+      return &crc2();
     case 3:
-      return crc3;
+      return &crc3;
     case 4:
-      return crc4();
+      return &crc4();
     case 5:
-      return crc5;
+      return &crc5;
     case 6:
-      return crc6;
+      return &crc6;
     case 8:
-      return crc8();
+      return &crc8();
     case 16:
-      return crc16();
+      return &crc16();
     default:
-      throw std::invalid_argument("crc_for_width: unsupported width");
+      return nullptr;
   }
+}
+
+const BitCrc& crc_for_width(std::size_t width) {
+  const BitCrc* crc = find_crc_for_width(width);
+  if (crc == nullptr) {
+    throw std::invalid_argument("crc_for_width: unsupported width");
+  }
+  return *crc;
 }
 
 std::vector<double> encode_side_channel(const std::vector<Bits>& symbol_bits,

@@ -54,7 +54,12 @@ struct SymbolCrcScheme {
   }
 };
 
-/// CRC engine for a scheme's width (1..6 bits arise in the paper's sweep).
+/// CRC engine for a scheme's width (1..6 bits arise in the paper's sweep;
+/// 8 and 16 are served too), or null for any other width.
+const BitCrc* find_crc_for_width(std::size_t width) noexcept;
+
+/// find_crc_for_width that throws std::invalid_argument for a width with
+/// no engine.
 const BitCrc& crc_for_width(std::size_t width);
 
 /// Transmitter side: compute the absolute phase offset to inject into each

@@ -1,9 +1,10 @@
 #include "carpool/transceiver.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <stdexcept>
 
-#include "fec/interleaver.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
 #include "obs/timer.hpp"
@@ -11,53 +12,6 @@
 
 namespace carpool {
 namespace {
-
-const Interleaver& bpsk_interleaver() {
-  static const Interleaver il{48, 1};
-  return il;
-}
-
-const Interleaver& interleaver_for(const Mcs& m) {
-  static const Interleaver il_bpsk{48, 1};
-  static const Interleaver il_qpsk{96, 2};
-  static const Interleaver il_qam16{192, 4};
-  static const Interleaver il_qam64{288, 6};
-  switch (m.modulation) {
-    case Modulation::kBpsk:
-      return il_bpsk;
-    case Modulation::kQpsk:
-      return il_qpsk;
-    case Modulation::kQam16:
-      return il_qam16;
-    case Modulation::kQam64:
-      return il_qam64;
-  }
-  throw std::logic_error("unknown modulation");
-}
-
-/// Re-modulate hard (deinterleaved) coded bits back into the transmitted
-/// constellation points — the "known pilot" reconstruction of Sec. 5.1.
-CxVec remap_symbol(const Bits& deinterleaved, const Mcs& m) {
-  const Bits interleaved = interleaver_for(m).interleave(deinterleaved);
-  return constellation(m.modulation).map_all(interleaved);
-}
-
-CxVec remap_bpsk48(const Bits& deinterleaved) {
-  const Bits interleaved = bpsk_interleaver().interleave(deinterleaved);
-  return constellation(Modulation::kBpsk).map_all(interleaved);
-}
-
-/// Hard demap a 48-point BPSK symbol and deinterleave (SIG / A-HDR path).
-Bits demap_bpsk48_hard(std::span<const Cx> points) {
-  const Constellation& bpsk = constellation(Modulation::kBpsk);
-  Bits interleaved;
-  interleaved.reserve(48);
-  for (const Cx& p : points) {
-    interleaved.push_back(bpsk.demap_hard(p)[0]);
-  }
-  return bpsk_interleaver().deinterleave(
-      std::span<const std::uint8_t>(interleaved));
-}
 
 void validate_subframes(std::span<const SubframeSpec> subframes) {
   if (subframes.empty()) {
@@ -76,8 +30,8 @@ void validate_subframes(std::span<const SubframeSpec> subframes) {
 
 /// A verified symbol buffered until its CRC group completes.
 struct PendingPilot {
-  CxVec bins;       // raw 64 frequency bins
-  CxVec points;     // reconstructed transmitted points (48)
+  std::array<Cx, kFftSize> bins;  // raw frequency bins
+  std::array<Cx, kNumDataSubcarriers> points;  // re-modulated hard decisions
   double phase;     // measured common phase
   std::size_t symbol_index;
   double evm;       // equalized points vs re-modulated reference
@@ -91,15 +45,14 @@ struct PendingPilot {
 /// number of bins skipped by the bound.
 std::size_t rte_update(CxVec& h, const PendingPilot& pilot, double alpha,
                        double max_delta) {
-  const CxVec ref = reference_bins(pilot.points, pilot.symbol_index, 0.0);
+  const std::array<Cx, kFftSize> ref =
+      reference_bins(pilot.points, pilot.symbol_index, 0.0);
   const Cx derotate = cx_exp(-pilot.phase);
   std::size_t clamped = 0;
   auto update_bin = [&](std::size_t bin) {
     if (ref[bin] == Cx{}) return;
     const Cx estimate = pilot.bins[bin] * derotate / ref[bin];
-    if (max_delta > 0.0 &&
-        std::abs(estimate - h[bin]) >
-            max_delta * std::max(std::abs(h[bin]), 1e-3)) {
+    if (max_delta > 0.0 && rte_delta_exceeds(estimate, h[bin], max_delta)) {
       ++clamped;
       return;
     }
@@ -111,6 +64,23 @@ std::size_t rte_update(CxVec& h, const PendingPilot& pilot, double alpha,
 }
 
 }  // namespace
+
+bool rte_delta_exceeds(Cx estimate, Cx h, double max_delta) noexcept {
+  // Squared magnitudes carry a few ulps (~1e-15) of rounding, as do the
+  // two std::abs values, so wherever the squares differ by more than a
+  // relative 1e-9 both forms give the same verdict. The range bounds keep
+  // underflow and overflow out of the squares, and NaN fails them; a
+  // non-positive bound would lose its sign in the square.
+  const double lhs = std::norm(estimate - h);
+  const double rhs = max_delta * max_delta * std::max(std::norm(h), 1e-6);
+  constexpr double kLo = 1e-280;
+  constexpr double kHi = 1e280;
+  if (max_delta > 0.0 && lhs >= kLo && lhs <= kHi && rhs >= kLo &&
+      rhs <= kHi && std::abs(lhs - rhs) > 1e-9 * std::max(lhs, rhs)) {
+    return lhs > rhs;
+  }
+  return std::abs(estimate - h) > max_delta * std::max(std::abs(h), 1e-3);
+}
 
 CarpoolTransmitter::CarpoolTransmitter(CarpoolFrameConfig config)
     : config_(config) {}
@@ -193,6 +163,8 @@ CarpoolReceiver::CarpoolReceiver(CarpoolRxConfig config) noexcept
   // through their own error path, and receive() reports kBadConfig.
   if (config_.crc_scheme.group_symbols == 0) {
     config_error_ = "empty side-channel CRC group";
+  } else if (find_crc_for_width(config_.crc_scheme.crc_width()) == nullptr) {
+    config_error_ = "no CRC engine for the side-channel group width";
   } else if (config_.bloom_hashes == 0 ||
              config_.bloom_hashes > kAhdrBits) {
     config_error_ = "Bloom hash count out of range";
@@ -388,15 +360,26 @@ CarpoolRxResult CarpoolReceiver::receive_impl(
       pending.clear();
     };
 
-    if (config_.side_channel_present) {
-      const Bits sig_hard = demap_bpsk48_hard(sig_eq.data);
-      const auto outcome = side.next_symbol(sig_eq.phase_offset, sig_hard);
+    // A symbol entering the side channel: its hard bits feed the CRC group
+    // and the points they decide become its data-pilot reference.
+    auto verify_symbol = [&](std::span<const Cx> bins,
+                             const SymbolEqualization& eq,
+                             std::size_t symbol_index, Modulation mod) {
+      PendingPilot& pilot = pending.emplace_back();
+      Bits hard = demap_symbol_hard(eq.data, mod, pilot.points);
+      std::copy(bins.begin(), bins.end(), pilot.bins.begin());
+      pilot.phase = eq.phase_offset;
+      pilot.symbol_index = symbol_index;
+      pilot.evm = evm(eq.data, pilot.points);
+      const auto outcome = side.next_symbol(eq.phase_offset, hard);
       sub.side_bits.push_back(outcome.side_bits);
-      CxVec sig_ref = remap_bpsk48(sig_hard);
-      const double sig_evm = evm(sig_eq.data, sig_ref);
-      pending.push_back(PendingPilot{sig_bins, std::move(sig_ref),
-                                     sig_eq.phase_offset, sym_idx, sig_evm});
-      handle_side(outcome);
+      handle_side(outcome);  // may clear `pending`
+      return hard;
+    };
+
+    if (config_.side_channel_present) {
+      pending.reserve(config_.crc_scheme.group_symbols);
+      verify_symbol(sig_bins, sig_eq, sym_idx, Modulation::kBpsk);
     }
     prev_phase = sig_eq.phase_offset;
 
@@ -408,20 +391,11 @@ CarpoolRxResult CarpoolReceiver::receive_impl(
       const std::span<const Cx> bins(sub_bins.data() + j * kFftSize,
                                      kFftSize);
       const SymbolEqualization eq = equalize_symbol(bins, h, sym_idx + 1 + j);
-      const Bits hard = demap_symbol_hard(eq.data, m);
-      sub.raw_symbol_bits.push_back(hard);
-      demap_symbol_soft(eq.data, eq.gains, m, soft);
-
-      if (config_.side_channel_present) {
-        const auto outcome = side.next_symbol(eq.phase_offset, hard);
-        sub.side_bits.push_back(outcome.side_bits);
-        CxVec ref = remap_symbol(hard, m);
-        const double sym_evm = evm(eq.data, ref);
-        pending.push_back(PendingPilot{CxVec(bins.begin(), bins.end()),
-                                       std::move(ref), eq.phase_offset,
-                                       sym_idx + 1 + j, sym_evm});
-        handle_side(outcome);
-      }
+      sub.raw_symbol_bits.push_back(
+          config_.side_channel_present
+              ? verify_symbol(bins, eq, sym_idx + 1 + j, m.modulation)
+              : demap_symbol_hard(eq.data, m.modulation));
+      demap_symbol_soft(eq.data, eq.gains, m.modulation, soft);
       prev_phase = eq.phase_offset;
     }
 

@@ -165,6 +165,14 @@ class CarpoolReceiver {
   std::string_view config_error_;  ///< static-duration message or empty
 };
 
+/// The RTE update bound's verdict for one bin (CarpoolRxConfig::
+/// rte_max_delta): whether `estimate` lies further than `max_delta` *
+/// max(|h|, 1e-3) from `h`. Returns exactly what that std::abs expression
+/// returns, but decides on squared magnitudes (no hypot) whenever they
+/// are far enough apart that rounding cannot flip the verdict.
+[[nodiscard]] bool rte_delta_exceeds(Cx estimate, Cx h,
+                                     double max_delta) noexcept;
+
 /// The side-channel bits a transmitter injects for one subframe (SIG
 /// symbol first, then each data symbol), given the scheme. Used by tests
 /// and benches to measure side-channel BER against the decoded bits.

@@ -29,16 +29,22 @@ std::uint32_t crc32(std::span<const std::uint8_t> data) {
 }
 
 std::uint16_t BitCrc::compute(std::span<const std::uint8_t> bits) const {
-  const std::uint16_t mask =
-      static_cast<std::uint16_t>((1u << width_) - 1u);
-  const std::uint16_t top = static_cast<std::uint16_t>(1u << (width_ - 1));
-  std::uint16_t reg = mask;  // all-ones init
-  for (const std::uint8_t bit : bits) {
-    const bool feedback = ((reg & top) != 0) != ((bit & 1u) != 0);
-    reg = static_cast<std::uint16_t>((reg << 1) & mask);
-    if (feedback) reg ^= poly_;
+  // The width_-bit register sits in the top bits of `reg`. Whole bytes of
+  // input (first bit as the byte's MSB) fold in through the table; the
+  // leftover bits go one at a time.
+  const unsigned shift = 16 - width_;
+  unsigned reg = (0xFFFFu << shift) & 0xFFFFu;  // all-ones init
+  std::size_t i = 0;
+  for (; i + 8 <= bits.size(); i += 8) {
+    unsigned byte = 0;
+    for (std::size_t k = 0; k < 8; ++k) byte = (byte << 1) | (bits[i + k] & 1u);
+    reg = ((reg << 8) & 0xFFFFu) ^ table_[(reg >> 8) ^ byte];
   }
-  return static_cast<std::uint16_t>(reg & mask);
+  for (; i < bits.size(); ++i) {
+    const unsigned feedback = ((reg >> 15) ^ bits[i]) & 1u;
+    reg = ((reg << 1) & 0xFFFFu) ^ (aligned_poly_ & (0u - feedback));
+  }
+  return static_cast<std::uint16_t>(reg >> shift);
 }
 
 }  // namespace carpool

@@ -32,6 +32,12 @@ class Interleaver {
   /// Deinterleave one block of hard bits.
   [[nodiscard]] Bits deinterleave(std::span<const std::uint8_t> block) const;
 
+  /// inverse()[j]: the deinterleaved position of interleaved bit j, for
+  /// callers that write demapped bits straight to their final slots.
+  [[nodiscard]] std::span<const std::size_t> inverse() const noexcept {
+    return inverse_;
+  }
+
  private:
   // forward_[k] = output position of input bit k.
   std::vector<std::size_t> forward_;

@@ -59,12 +59,13 @@ SymbolEqualization equalize_symbol(std::span<const Cx> bins,
   return out;
 }
 
-CxVec reference_bins(std::span<const Cx> data_points, std::size_t symbol_index,
-                     double phase_offset) {
+std::array<Cx, kFftSize> reference_bins(std::span<const Cx> data_points,
+                                        std::size_t symbol_index,
+                                        double phase_offset) {
   if (data_points.size() != kNumDataSubcarriers) {
     throw std::invalid_argument("reference_bins: need 48 data points");
   }
-  CxVec bins(kFftSize, Cx{});
+  std::array<Cx, kFftSize> bins{};
   const Cx rotation = cx_exp(phase_offset);
   const auto dbins = data_bins();
   for (std::size_t i = 0; i < kNumDataSubcarriers; ++i) {

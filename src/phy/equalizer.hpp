@@ -9,6 +9,7 @@
 // transmitter injected — which is exactly the observable the Carpool side
 // channel modulates (paper Sec. 5.2).
 
+#include <array>
 #include <span>
 #include <vector>
 
@@ -35,7 +36,8 @@ SymbolEqualization equalize_symbol(std::span<const Cx> bins,
 /// Reconstruct the 64-bin frequency-domain view a transmitter would have
 /// produced for these 48 data points (plus pilots), including an injected
 /// phase offset; used to form "data pilot" channel estimates.
-CxVec reference_bins(std::span<const Cx> data_points, std::size_t symbol_index,
-                     double phase_offset);
+std::array<Cx, kFftSize> reference_bins(std::span<const Cx> data_points,
+                                        std::size_t symbol_index,
+                                        double phase_offset);
 
 }  // namespace carpool

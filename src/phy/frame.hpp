@@ -64,14 +64,19 @@ std::vector<CxVec> modulate_coded(std::span<const std::uint8_t> coded,
 /// --- RX data path (shared with Carpool) ---
 
 /// Inverse of modulate_coded for one symbol: soft demap (weighted by
-/// per-subcarrier gain) + deinterleave. Appends n_cbps soft values to `out`.
+/// per-subcarrier gain), each value written straight to its deinterleaved
+/// slot. Appends n_cbps soft values to `out`.
 void demap_symbol_soft(std::span<const Cx> points,
-                       std::span<const double> gains, const Mcs& m,
+                       std::span<const double> gains, Modulation mod,
                        SoftBits& out);
 
 /// Hard demap + deinterleave one symbol (n_cbps bits): the bits a
-/// symbol-level CRC covers.
-Bits demap_symbol_hard(std::span<const Cx> points, const Mcs& m);
+/// symbol-level CRC covers. One nearest-point decision per subcarrier
+/// gives its bits; when `decided` is non-empty (48 entries) it also
+/// receives that point, which is the symbol re-modulated from the hard
+/// bits (a Carpool data pilot's reference).
+Bits demap_symbol_hard(std::span<const Cx> points, Modulation mod,
+                       std::span<Cx> decided = {});
 
 /// Viterbi-decode a soft coded stream and descramble; returns the PSDU
 /// (length from SIG). Returns nullopt if the stream is too short.

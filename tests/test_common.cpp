@@ -179,6 +179,51 @@ TEST(BitCrc, DifferentWidthsProduceDifferentRanges) {
   EXPECT_LT(crc8().compute(data), 256u);
 }
 
+/// The bit-serial register BitCrc::compute replaced: one feedback step per
+/// input byte, reading only the byte's lowest bit.
+std::uint16_t bit_serial_crc(unsigned width, std::uint16_t poly,
+                             std::span<const std::uint8_t> bits) {
+  const std::uint16_t mask = static_cast<std::uint16_t>((1u << width) - 1u);
+  const std::uint16_t top = static_cast<std::uint16_t>(1u << (width - 1));
+  std::uint16_t reg = mask;
+  for (const std::uint8_t bit : bits) {
+    const bool feedback = ((reg & top) != 0) != ((bit & 1u) != 0);
+    reg = static_cast<std::uint16_t>((reg << 1) & mask);
+    if (feedback) reg ^= poly;
+  }
+  return static_cast<std::uint16_t>(reg & mask);
+}
+
+TEST(BitCrcReference, TableMatchesBitSerialRegister) {
+  // Every width, lengths 0..400 (most not a multiple of 8), polynomials
+  // with bits above the width, and input bytes other than 0 and 1.
+  Rng rng(2024);
+  std::size_t strings = 0;
+  for (unsigned width = 1; width <= 16; ++width) {
+    const std::uint16_t polys[] = {
+        0x1, 0x3, 0x1021, 0xFFFF,
+        static_cast<std::uint16_t>(rng.uniform_int(0x10000))};
+    for (const std::uint16_t poly : polys) {
+      const BitCrc crc(width, poly);
+      for (std::size_t len = 0; len <= 400; len += 1 + len / 80) {
+        Bits bits(len);
+        const bool raw_bytes = len % 2 == 1;
+        for (auto& b : bits) {
+          b = static_cast<std::uint8_t>(rng.uniform_int(raw_bytes ? 256 : 2));
+        }
+        ASSERT_EQ(crc.compute(bits), bit_serial_crc(width, poly, bits))
+            << "width " << width << " poly " << poly << " len " << len;
+        ++strings;
+      }
+    }
+  }
+  EXPECT_GT(strings, 10000u);
+  // The named engines too, over bytes whose high bits must be ignored.
+  const Bits bytes{0xFE, 0x03, 0x80, 0x41, 0xFF, 0x00, 0x02, 0x11, 0x7F};
+  EXPECT_EQ(crc2().compute(bytes), bit_serial_crc(2, 0x3, bytes));
+  EXPECT_EQ(crc16().compute(bytes), bit_serial_crc(16, 0x1021, bytes));
+}
+
 TEST(Hash, KeyedHashesDifferPerKey) {
   const Bytes data{1, 2, 3, 4, 5, 6};
   EXPECT_NE(keyed_hash(data, 0), keyed_hash(data, 1));

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "channel/fading.hpp"
 #include "common/rng.hpp"
+#include "fec/interleaver.hpp"
 #include "phy/constellation.hpp"
 #include "phy/equalizer.hpp"
 #include "phy/frame.hpp"
@@ -65,11 +69,184 @@ TEST_P(ConstellationParam, SoftDemapSignsMatchHardDecision) {
     Bits bits(con.bits_per_point());
     for (auto& b : bits) b = static_cast<std::uint8_t>(rng.uniform_int(2));
     const Cx point = con.map(bits);
-    SoftBits soft;
+    SoftBits soft(con.bits_per_point());
     con.demap_soft(point, 1.0, soft);
-    ASSERT_EQ(soft.size(), bits.size());
     for (std::size_t i = 0; i < bits.size(); ++i) {
       EXPECT_EQ(soft[i] > 0.0, bits[i] == 1);
+    }
+  }
+}
+
+// ------------------------------------------ demapper reference checks
+
+constexpr Modulation kAllModulations[] = {Modulation::kBpsk, Modulation::kQpsk,
+                                          Modulation::kQam16,
+                                          Modulation::kQam64};
+
+/// The full-search hard demapper the per-axis one replaced: every label's
+/// std::norm distance, scanned in label order with a strict `<`.
+std::size_t full_search_label(const Constellation& con, Cx r) {
+  std::size_t best = 0;
+  double best_dist = std::numeric_limits<double>::infinity();
+  const auto points = con.points();
+  for (std::size_t label = 0; label < points.size(); ++label) {
+    const double d = std::norm(r - points[label]);
+    if (d < best_dist) {
+      best_dist = d;
+      best = label;
+    }
+  }
+  return best;
+}
+
+/// The full-search max-log soft demapper, appending one value per bit.
+void full_search_soft(const Constellation& con, Cx r, double gain,
+                      SoftBits& out) {
+  const auto points = con.points();
+  for (std::size_t bit = 0; bit < con.bits_per_point(); ++bit) {
+    double min0 = std::numeric_limits<double>::infinity();
+    double min1 = std::numeric_limits<double>::infinity();
+    for (std::size_t label = 0; label < points.size(); ++label) {
+      const double d = std::norm(r - points[label]);
+      if ((label >> bit) & 1u) {
+        min1 = std::min(min1, d);
+      } else {
+        min0 = std::min(min0, d);
+      }
+    }
+    out.push_back(gain * (min0 - min1));
+  }
+}
+
+/// Received points that stress the decision: the cross product of axis
+/// coordinates at every level and decision midpoint (each +- 1..3 ulps),
+/// +-0, subnormals, 1e+-300, +-DBL_MAX, +-inf and NaN, then `random`
+/// uniform points around the constellation.
+std::vector<Cx> demap_probe_points(const Constellation& con,
+                                   std::size_t random, Rng& rng) {
+  using lim = std::numeric_limits<double>;
+  std::vector<double> levels;
+  for (const Cx& p : con.points()) {
+    levels.push_back(p.real());
+    levels.push_back(p.imag());
+  }
+  std::sort(levels.begin(), levels.end());
+  levels.erase(std::unique(levels.begin(), levels.end()), levels.end());
+  std::vector<double> coords = {0.0,          -0.0,
+                                lim::denorm_min(), -lim::denorm_min(),
+                                lim::min(),   -lim::min(),
+                                1e-300,       -1e-300,
+                                1e300,        -1e300,
+                                lim::max(),   -lim::max(),
+                                lim::infinity(), -lim::infinity(),
+                                lim::quiet_NaN()};
+  auto add_around = [&](double x) {
+    coords.push_back(x);
+    double up = x;
+    double down = x;
+    for (int k = 0; k < 3; ++k) {
+      up = std::nextafter(up, lim::infinity());
+      down = std::nextafter(down, -lim::infinity());
+      coords.push_back(up);
+      coords.push_back(down);
+    }
+  };
+  for (std::size_t k = 0; k < levels.size(); ++k) {
+    add_around(levels[k]);
+    if (k + 1 < levels.size()) add_around((levels[k] + levels[k + 1]) / 2.0);
+  }
+  std::vector<Cx> points;
+  for (const double re : coords) {
+    for (const double im : coords) points.emplace_back(re, im);
+  }
+  for (std::size_t i = 0; i < random; ++i) {
+    points.emplace_back(rng.uniform(-1.6, 1.6), rng.uniform(-1.6, 1.6));
+  }
+  return points;
+}
+
+TEST(DemapReference, HardLabelsMatchFullSearch) {
+  Rng rng(301);
+  for (const Modulation mod : kAllModulations) {
+    const Constellation& con = constellation(mod);
+    std::size_t mismatches = 0;
+    const std::vector<Cx> points = demap_probe_points(con, 200000, rng);
+    for (const Cx& p : points) {
+      if (con.nearest(p) != full_search_label(con, p)) ++mismatches;
+    }
+    EXPECT_EQ(mismatches, 0u) << modulation_name(mod) << " over "
+                              << points.size() << " points";
+  }
+}
+
+TEST(DemapReference, SoftLlrsMatchFullSearchBitwise) {
+  Rng rng(302);
+  const double gains[] = {1.0, 0.0, 2.5, 1e-300,
+                          std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN()};
+  for (const Modulation mod : kAllModulations) {
+    const Constellation& con = constellation(mod);
+    std::size_t mismatches = 0;
+    const std::vector<Cx> points = demap_probe_points(con, 200000, rng);
+    SoftBits got(con.bits_per_point());
+    SoftBits want;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      const double gain = i % 4 == 0 ? gains[(i / 4) % std::size(gains)]
+                                     : rng.uniform(0.0, 4.0);
+      con.demap_soft(points[i], gain, got);
+      want.clear();
+      full_search_soft(con, points[i], gain, want);
+      if (std::memcmp(got.data(), want.data(), got.size() * sizeof(double))) {
+        ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << modulation_name(mod) << " over "
+                              << points.size() << " points";
+  }
+}
+
+TEST(DemapReference, SymbolDemapMatchesPerPointDeinterleave) {
+  // The symbol demappers write each bit straight to its deinterleaved
+  // slot; the reference demaps point by point, then deinterleaves.
+  Rng rng(303);
+  for (const Modulation mod : kAllModulations) {
+    const Constellation& con = constellation(mod);
+    const Interleaver& il = interleaver_for(mod);
+    const std::vector<Cx> pool = demap_probe_points(con, 2000, rng);
+    for (std::size_t first = 0; first + kNumDataSubcarriers <= pool.size();
+         first += 17 * kNumDataSubcarriers) {
+      const std::span<const Cx> points(pool.data() + first,
+                                       kNumDataSubcarriers);
+      std::vector<double> gains(kNumDataSubcarriers);
+      for (double& g : gains) g = rng.uniform(0.0, 4.0);
+
+      Bits hard_interleaved;
+      SoftBits soft_interleaved;
+      CxVec want_decided;
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        const std::size_t label = full_search_label(con, points[i]);
+        for (std::size_t b = 0; b < con.bits_per_point(); ++b) {
+          hard_interleaved.push_back(
+              static_cast<std::uint8_t>((label >> b) & 1u));
+        }
+        want_decided.push_back(con.points()[label]);
+        full_search_soft(con, points[i], gains[i], soft_interleaved);
+      }
+      CxVec decided(kNumDataSubcarriers);
+      EXPECT_EQ(demap_symbol_hard(points, mod, decided),
+                il.deinterleave(std::span<const std::uint8_t>(
+                    hard_interleaved)));
+      EXPECT_EQ(decided, want_decided);
+
+      SoftBits soft{-1.0};  // the demapper appends after existing values
+      demap_symbol_soft(points, gains, mod, soft);
+      const SoftBits want =
+          il.deinterleave(std::span<const double>(soft_interleaved));
+      ASSERT_EQ(soft.size(), want.size() + 1);
+      EXPECT_EQ(std::memcmp(soft.data() + 1, want.data(),
+                            want.size() * sizeof(double)),
+                0)
+          << modulation_name(mod) << " at point " << first;
     }
   }
 }
@@ -345,7 +522,8 @@ TEST(DataPath, CodedStreamIsWholeSymbols) {
 }
 
 TEST(DataPath, HardDemapMatchesTxCodedBits) {
-  // demap_symbol_hard must invert modulate_coded exactly (clean points).
+  // demap_symbol_hard must invert modulate_coded exactly (clean points),
+  // and the points it decides are the transmitted ones.
   Rng rng(91);
   for (const Mcs& m : mcs_table()) {
     Bits coded(m.n_cbps * 2);
@@ -353,10 +531,12 @@ TEST(DataPath, HardDemapMatchesTxCodedBits) {
     const auto symbols = modulate_coded(coded, m);
     ASSERT_EQ(symbols.size(), 2u);
     for (std::size_t s = 0; s < 2; ++s) {
-      const Bits back = demap_symbol_hard(symbols[s], m);
+      CxVec decided(kNumDataSubcarriers);
+      const Bits back = demap_symbol_hard(symbols[s], m.modulation, decided);
       const Bits expect(coded.begin() + static_cast<long>(s * m.n_cbps),
                         coded.begin() + static_cast<long>((s + 1) * m.n_cbps));
       EXPECT_EQ(back, expect) << m.name;
+      EXPECT_EQ(decided, symbols[s]) << m.name;
     }
   }
 }

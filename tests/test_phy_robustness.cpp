@@ -16,6 +16,7 @@
 #include "fec/viterbi.hpp"
 #include "common/rng.hpp"
 #include "impair/impair.hpp"
+#include "obs/registry.hpp"
 #include "phy/equalizer.hpp"
 #include "phy/frame.hpp"
 #include "phy/ofdm.hpp"
@@ -473,6 +474,20 @@ TEST(DecodeHardening, BadConfigReportedNotThrown) {
   bad_alpha.rte_alpha = 1.5;
   EXPECT_FALSE(CarpoolReceiver(bad_alpha).config_error().empty());
   EXPECT_TRUE(CarpoolReceiver(self_rx_config()).config_error().empty());
+
+  // A group width no CRC engine serves (two-bit x 5 = 10 bits, one-bit
+  // x 7 = 7 bits) is a bad config too, not an exception on every decode.
+  obs::Registry reg;
+  const obs::Registry::ScopedCurrent scope(reg);
+  for (const SymbolCrcScheme scheme : {SymbolCrcScheme{PhaseMod::kTwoBit, 5},
+                                       SymbolCrcScheme{PhaseMod::kOneBit, 7}}) {
+    CarpoolRxConfig odd_width = self_rx_config();
+    odd_width.crc_scheme = scheme;
+    const CarpoolReceiver odd_rx(odd_width);
+    EXPECT_FALSE(odd_rx.config_error().empty());
+    EXPECT_EQ(odd_rx.receive(wave).status, DecodeStatus::kBadConfig);
+  }
+  EXPECT_EQ(reg.counter_value("phy.decode_exceptions"), 0u);
 }
 
 TEST(DecodeHardening, NoExceptionEscapesUnderHeavyImpairment) {
