@@ -31,7 +31,6 @@ SimResult run_case(Scheme scheme, double deadline, std::size_t frame_bytes,
   cfg.default_snr_db = 26.0;
   cfg.coherence_time = 3e-3;
   cfg.delivery_deadline = deadline;
-  cfg.aggregation.max_latency = deadline;
   Simulator sim(cfg);
   for (NodeId sta = 1; sta <= kStas; ++sta) {
     sim.add_flow(traffic::make_cbr_flow(sta, frame_bytes, frame_interval));

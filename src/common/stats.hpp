@@ -12,6 +12,19 @@
 
 namespace carpool {
 
+/// Nearest-rank index of the p-quantile among `n` ascending samples:
+/// round(p * (n - 1)), or 0 when `n` is 0. Throws std::invalid_argument
+/// unless 0 <= p <= 1; NaN fails that test too, before any integer cast.
+[[nodiscard]] inline std::size_t nearest_rank(double p, std::size_t n) {
+  if (!(p >= 0.0 && p <= 1.0)) {
+    throw std::invalid_argument("percentile: p outside [0, 1]");
+  }
+  if (n == 0) return 0;
+  const auto rank =
+      static_cast<std::size_t>(p * static_cast<double>(n - 1) + 0.5);
+  return std::min(rank, n - 1);
+}
+
 /// Running mean / variance without storing samples (Welford's algorithm).
 class RunningStats {
  public:
@@ -66,11 +79,8 @@ class SampleSet {
   /// p in [0, 1]; nearest-rank percentile.
   [[nodiscard]] double percentile(double p) const {
     if (samples_.empty()) throw std::logic_error("percentile of empty set");
-    if (p < 0.0 || p > 1.0) throw std::invalid_argument("percentile range");
     const std::vector<double>& s = sorted();
-    const auto rank = static_cast<std::size_t>(
-        p * static_cast<double>(s.size() - 1) + 0.5);
-    return s[std::min(rank, s.size() - 1)];
+    return s[nearest_rank(p, s.size())];
   }
 
   /// Empirical CDF value at x: fraction of samples <= x.

@@ -11,11 +11,14 @@
 //   Carpool        : up to max_receivers STAs, A-HDR (2 symbols) and one
 //                    SIG symbol per subframe
 //
-// Aggregation ends when the buffered size reaches the maximum frame size
-// or the oldest frame's delay reaches the latency limit (Sec. 7.2.2).
+// An aggregate takes whatever is queued when the AP wins the channel, up
+// to the byte and receiver caps; it never waits for more frames to
+// arrive, so there is no latency limit to end it. Stale frames leave
+// through SimConfig::delivery_deadline instead.
 
 #include <deque>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "mac/frame.hpp"
@@ -29,8 +32,6 @@ struct AggregationPolicy {
   std::size_t max_aggregate_bytes = 65535;  ///< 802.11n A-MPDU cap
   std::size_t max_subframe_bytes = 4095;    ///< SIG LENGTH field cap
   std::size_t max_receivers = 8;            ///< Carpool kMaxReceivers
-  double max_latency = 0.1;  ///< stop aggregating once the oldest queued
-                             ///< frame is this old (seconds)
   /// Time-fairness control (paper Sec. 8): pick receivers with the least
   /// airtime occupancy first instead of the oldest head-of-line frame.
   /// Requires an occupancy table passed to build().
@@ -50,9 +51,12 @@ class ApQueues {
   /// Remove frames whose age exceeds `max_age`; returns how many dropped.
   std::size_t drop_expired(double now, double max_age);
 
-  /// Build the next transmission per `scheme`. Returns an empty-subunit
-  /// transmission if nothing is queued. Frames leave the queues; failed
-  /// subunits must be returned via requeue_front().
+  /// Build the next transmission per `scheme` into `out`, overwriting
+  /// whatever it held: `out` gets no subunits if nothing is queued. The
+  /// frame vectors of `out`'s previous subunits are cleared and reused,
+  /// not freed, so a caller that passes the same Transmission every TXOP
+  /// does not allocate once the buffers have grown. Frames leave the
+  /// queues; failed subunits must be returned via requeue_front().
   /// `airtime_occupancy[sta]` (optional) feeds the time-fairness policy.
   /// `links` is the per-STA LinkStateMachine decision snapshot
   /// (docs/LINK_STATE.md): it supplies both each receiver's PHY rate (the
@@ -65,11 +69,11 @@ class ApQueues {
   /// negotiated Carpool at association (Sec. 4.3); others always get
   /// legacy single-destination transmissions, even under a multi-receiver
   /// scheme.
-  Transmission build(Scheme scheme, const MacParams& params,
-                     const AggregationPolicy& policy, double now,
-                     std::span<const double> airtime_occupancy = {},
-                     const LinkSnapshot& links = {},
-                     std::span<const std::uint8_t> carpool_capable = {});
+  void build(Transmission& out, Scheme scheme, const MacParams& params,
+             const AggregationPolicy& policy,
+             std::span<const double> airtime_occupancy = {},
+             const LinkSnapshot& links = {},
+             std::span<const std::uint8_t> carpool_capable = {});
 
   /// Put a failed subunit's frames back at the head of their queue.
   void requeue_front(const SubUnit& subunit);
@@ -78,6 +82,12 @@ class ApQueues {
   std::vector<std::deque<MacFrame>> queues_;  // index = dst NodeId
   std::size_t total_frames_ = 0;
   std::size_t total_bytes_ = 0;
+  // build() scratch, kept so a TXOP does not allocate: (key, STA) heads
+  // in receiver order, the chosen receivers, and the frame vectors of
+  // subunits `out` no longer needs.
+  std::vector<std::pair<double, NodeId>> heads_;
+  std::vector<NodeId> order_;
+  std::vector<std::vector<MacFrame>> spare_frames_;
 };
 
 /// Airtime of a single (non-aggregated) uplink/downlink frame plus ACK.

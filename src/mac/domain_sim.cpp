@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "carpool/bloom.hpp"
+#include "common/stats.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
 
@@ -32,6 +33,18 @@ struct BackoffState {
     counter = -1;
   }
 };
+
+/// Charge every frame of `su` one retry and drop, in place, those past
+/// `retry_limit`; returns how many were dropped.
+std::size_t charge_retry(SubUnit& su, std::size_t retry_limit) {
+  std::size_t kept = 0;
+  for (MacFrame& f : su.frames) {
+    if (++f.retries <= retry_limit) su.frames[kept++] = f;
+  }
+  const std::size_t dropped = su.frames.size() - kept;
+  su.frames.resize(kept);
+  return dropped;
+}
 
 struct ArrivalEvent {
   double time;
@@ -142,7 +155,7 @@ SimResult DomainSim::run() {
 
   SimResult result;
   result.duration = config_.duration;
-  SampleSet delays;
+  std::vector<double> delays;  ///< delivered downlink frames, in order
   std::uint64_t dl_bytes = 0, ul_bytes = 0;
   std::vector<std::uint64_t> dl_bytes_per_sta(config_.num_stas + 1, 0);
   std::uint64_t frame_counter = 0;
@@ -214,6 +227,29 @@ SimResult DomainSim::run() {
 
   const std::size_t retry_limit = p.retry_limit;
 
+  // Put a subunit's frames back at the head of `node`'s queue.
+  auto requeue = [&](NodeId node, const SubUnit& su) {
+    if (node == kApNode) {
+      ap_queues.requeue_front(su);
+      return;
+    }
+    for (auto it = su.frames.rbegin(); it != su.frames.rend(); ++it) {
+      uplink[node].push_front(*it);
+    }
+  };
+
+  // Per-pass buffers, kept for the whole run so a TXOP does not allocate:
+  // contenders and slot winners; each node's transmission (the AP's is
+  // refilled in place by ApQueues::build); the link decisions the AP's
+  // build used; one subunit's failed MPDUs on their way back to the
+  // queue; and, per STA, the subunit a downlink aggregate addresses to it.
+  std::vector<NodeId> active;
+  std::vector<NodeId> winners;
+  std::vector<Transmission> node_tx(config_.num_stas + 1);
+  LinkSnapshot ap_snapshot;
+  SubUnit failed;
+  std::vector<const SubUnit*> addressed(config_.num_stas + 1, nullptr);
+
   // Frame-lifecycle span ordinals (docs/OBSERVABILITY.md): every resolved
   // channel event — success or collision — consumes a txop id, every
   // aggregate frame put on air a frame id. Counted unconditionally so the
@@ -238,7 +274,7 @@ SimResult DomainSim::run() {
     }
 
     // 2. active contenders.
-    std::vector<NodeId> active;
+    active.clear();
     if (ap_active()) active.push_back(kApNode);
     for (NodeId sta = 1; sta <= config_.num_stas; ++sta) {
       if (!uplink[sta].empty()) active.push_back(sta);
@@ -295,7 +331,7 @@ SimResult DomainSim::run() {
     }
 
     // 4. winners: counters that hit zero.
-    std::vector<NodeId> winners;
+    winners.clear();
     for (const NodeId node : active) {
       BackoffState& b = node == kApNode ? ap_backoff : sta_backoff[node];
       b.counter -= k;
@@ -319,21 +355,19 @@ SimResult DomainSim::run() {
     now = tx_start;
 
     // Build the transmissions of all winners.
-    std::vector<Transmission> txs;
-    LinkSnapshot ap_snapshot;  ///< decisions the AP's build() used
     for (const NodeId node : winners) {
       if (node == kApNode) {
         sample_queue_depth(now);
         // Move suspended links whose timeout expired into Probing, then
         // freeze this TXOP's decisions: per-subframe rates + blocked mask.
         links.advance(now);
-        ap_snapshot = links.snapshot();
-        txs.push_back(ap_queues.build(config_.scheme, p, config_.aggregation,
-                                      now, airtime_occupancy, ap_snapshot,
-                                      carpool_capable));
+        links.snapshot(ap_snapshot);
+        ap_queues.build(node_tx[kApNode], config_.scheme, p,
+                        config_.aggregation, airtime_occupancy, ap_snapshot,
+                        carpool_capable);
       } else {
-        txs.push_back(
-            build_single_frame(uplink[node].front(), p, rate_of(node)));
+        node_tx[node] =
+            build_single_frame(uplink[node].front(), p, rate_of(node));
         uplink[node].pop_front();
       }
     }
@@ -354,42 +388,30 @@ SimResult DomainSim::run() {
       // Collision. With RTS/CTS only the RTS is wasted.
       ++result.collisions;
       double busy = 0.0;
-      for (std::size_t w = 0; w < n_winners; ++w) {
+      for (const NodeId node : winners) {
         const double cost = config_.use_rts_cts
                                 ? p.rts_duration()
-                                : txs[w].data_duration;
+                                : node_tx[node].data_duration;
         busy = std::max(busy, cost);
       }
       busy += p.sifs + p.ack_duration();  // timeout
       result.airtime_collision += busy;
 
-      for (std::size_t w = 0; w < n_winners; ++w) {
-        const NodeId node = winners[w];
+      for (const NodeId node : winners) {
         BackoffState& b = node == kApNode ? ap_backoff : sta_backoff[node];
         b.on_failure(p.cw_max);
-        energy[node].add_tx(config_.use_rts_cts ? p.rts_duration()
-                                                : txs[w].data_duration);
+        energy[node].add_tx(config_.use_rts_cts
+                                ? p.rts_duration()
+                                : node_tx[node].data_duration);
         // Frames return to their queues with a retry charged.
-        for (SubUnit& su : txs[w].subunits) {
-          std::vector<MacFrame> keep;
-          for (MacFrame& f : su.frames) {
-            if (++f.retries <= retry_limit) {
-              keep.push_back(f);
-            } else if (node == kApNode) {
-              ++result.dl_frames_dropped;
-            } else {
-              ++result.ul_frames_dropped;
-            }
-          }
-          su.frames = std::move(keep);
-          if (su.frames.empty()) continue;
+        for (SubUnit& su : node_tx[node].subunits) {
+          const std::size_t dropped = charge_retry(su, retry_limit);
           if (node == kApNode) {
-            ap_queues.requeue_front(su);
+            result.dl_frames_dropped += dropped;
           } else {
-            for (auto it = su.frames.rbegin(); it != su.frames.rend(); ++it) {
-              uplink[node].push_front(*it);
-            }
+            result.ul_frames_dropped += dropped;
           }
+          if (!su.frames.empty()) requeue(node, su);
         }
       }
       {
@@ -412,7 +434,7 @@ SimResult DomainSim::run() {
 
     // Single winner: carry out the full sequence.
     const NodeId src = winners.front();
-    Transmission& tx = txs.front();
+    Transmission& tx = node_tx[src];
     if (tx.subunits.empty()) {
       // Queue raced empty (deadline expiry); nothing to send.
       BackoffState& b = src == kApNode ? ap_backoff : sta_backoff[src];
@@ -449,34 +471,19 @@ SimResult DomainSim::run() {
         result.airtime_collision += busy;
         energy[src].add_tx(vulnerable);
         // Both parties lose their frames (retry accounting).
-        auto requeue_loser = [&](NodeId node, Transmission& lost) {
-          BackoffState& b =
-              node == kApNode ? ap_backoff : sta_backoff[node];
-          b.on_failure(p.cw_max);
-          for (SubUnit& su : lost.subunits) {
-            std::vector<MacFrame> keep;
-            for (MacFrame& f : su.frames) {
-              if (++f.retries <= retry_limit) {
-                keep.push_back(f);
-              } else {
-                ++result.ul_frames_dropped;
-              }
-            }
-            su.frames = std::move(keep);
-            if (su.frames.empty()) continue;
-            for (auto it = su.frames.rbegin(); it != su.frames.rend();
-                 ++it) {
-              uplink[node].push_front(*it);
-            }
+        auto requeue_loser = [&](NodeId node) {
+          sta_backoff[node].on_failure(p.cw_max);
+          for (SubUnit& su : node_tx[node].subunits) {
+            result.ul_frames_dropped += charge_retry(su, retry_limit);
+            if (!su.frames.empty()) requeue(node, su);
           }
         };
-        requeue_loser(src, tx);
-        Transmission intruder_tx =
-            build_single_frame(uplink[intruder].front(), p,
-                               rate_of(intruder));
+        requeue_loser(src);
+        node_tx[intruder] = build_single_frame(uplink[intruder].front(), p,
+                                               rate_of(intruder));
         uplink[intruder].pop_front();
-        energy[intruder].add_tx(intruder_tx.data_duration);
-        requeue_loser(intruder, intruder_tx);
+        energy[intruder].add_tx(node_tx[intruder].data_duration);
+        requeue_loser(intruder);
         sta_backoff[intruder].on_failure(p.cw_max);
         {
           obs::Span txop_span("mac.txop");
@@ -530,7 +537,8 @@ SimResult DomainSim::run() {
       bool any_delivered = false;
       std::uint64_t frames_ok = 0;
       std::uint64_t frames_dropped = 0;
-      std::vector<MacFrame> failed;
+      failed.dst = su.dst;
+      failed.frames.clear();
       // Per-frame symbol spans within the subunit, at this link's rate —
       // for downlink, the rate the AP's build() actually used (frozen in
       // ap_snapshot; feedback during this judging loop must not shift it).
@@ -571,7 +579,7 @@ SimResult DomainSim::run() {
             if (su.dst < dl_bytes_per_sta.size()) {
               dl_bytes_per_sta[su.dst] += f.payload_bytes;
             }
-            delays.add(delay);
+            delays.push_back(delay);
           } else {
             ++result.ul_frames_delivered;
             ul_bytes += f.payload_bytes;
@@ -580,7 +588,7 @@ SimResult DomainSim::run() {
         } else {
           ++result.subframe_failures;
           if (++f.retries <= retry_limit) {
-            failed.push_back(std::move(f));
+            failed.frames.push_back(f);
           } else {
             ++frames_dropped;
             if (is_downlink) {
@@ -627,8 +635,9 @@ SimResult DomainSim::run() {
         fb.time = now + sequence;
         fb.ack_ok = ack_ok;
         fb.frames_ok = static_cast<std::uint32_t>(frames_ok);
-        fb.frames_failed = static_cast<std::uint32_t>(failed.size()) +
-                           static_cast<std::uint32_t>(frames_dropped);
+        fb.frames_failed =
+            static_cast<std::uint32_t>(failed.frames.size()) +
+            static_cast<std::uint32_t>(frames_dropped);
         fb.snr_db = snr;
         links.on_feedback(su.dst, fb);
       }
@@ -636,19 +645,10 @@ SimResult DomainSim::run() {
         airtime_occupancy[su.dst] +=
             p.payload_duration(8 * static_cast<std::uint64_t>(su.bytes));
       }
-      if (!failed.empty()) {
+      if (!failed.frames.empty()) {
         // Partial-ACK selective retransmission: only the failed MPDUs
         // return to the head of their queue.
-        SubUnit back = su;
-        back.frames = std::move(failed);
-        if (is_downlink) {
-          ap_queues.requeue_front(back);
-        } else {
-          for (auto it = back.frames.rbegin(); it != back.frames.rend();
-               ++it) {
-            uplink[src].push_front(*it);
-          }
-        }
+        requeue(src, failed);
       }
     }
 
@@ -666,19 +666,23 @@ SimResult DomainSim::run() {
     energy[src].add_tx(ctrl > 0.0 ? p.rts_duration() + tx.data_duration
                                   : tx.data_duration);
     const bool carpool_like = config_.scheme == Scheme::kCarpool;
+    if (is_downlink) {
+      for (const SubUnit& su : tx.subunits) addressed[su.dst] = &su;
+    }
+    // Odds that an overhearer's A-HDR Bloom test passes falsely for some
+    // subframe; a function of the subunit count alone.
+    double p_false_positive = 0.0;
+    if (carpool_like && is_downlink) {
+      const double r = theoretical_fp_rate(tx.subunits.size(), 4);
+      p_false_positive =
+          1.0 - std::pow(1.0 - r, static_cast<double>(kMaxReceivers));
+    }
     for (NodeId sta = 1; sta <= config_.num_stas; ++sta) {
       if (sta == src) continue;
-      bool addressed = false;
-      double own_time = 0.0;
-      for (const SubUnit& su : tx.subunits) {
-        if (is_downlink && su.dst == sta) {
-          addressed = true;
-          own_time = static_cast<double>(su.num_symbols) *
-                     MacParams::symbol_duration;
-        }
-      }
-      if (addressed) {
+      if (const SubUnit* own = addressed[sta]; own != nullptr) {
         // Header + own subframe (Carpool) or whole frame (others).
+        const double own_time = static_cast<double>(own->num_symbols) *
+                                MacParams::symbol_duration;
         const double rx_time =
             carpool_like ? p.plcp_header + 2 * MacParams::symbol_duration +
                                own_time
@@ -690,10 +694,7 @@ SimResult DomainSim::run() {
         if (carpool_like) rx_time += 2 * MacParams::symbol_duration;
         // Bloom false positive: decode one irrelevant subframe.
         if (carpool_like && is_downlink) {
-          const double r = theoretical_fp_rate(tx.subunits.size(), 4);
-          const double p_any = 1.0 - std::pow(1.0 - r,
-                                              static_cast<double>(kMaxReceivers));
-          if (phy_rng.bernoulli(p_any)) {
+          if (phy_rng.bernoulli(p_false_positive)) {
             const SubUnit& victim =
                 tx.subunits[phy_rng.uniform_int(tx.subunits.size())];
             rx_time += static_cast<double>(victim.num_symbols) *
@@ -704,7 +705,9 @@ SimResult DomainSim::run() {
         energy[sta].add_rx(rx_time);
       }
     }
-    if (!is_downlink) {
+    if (is_downlink) {
+      for (const SubUnit& su : tx.subunits) addressed[su.dst] = nullptr;
+    } else {
       energy[kApNode].add_rx(tx.data_duration);
     }
 
@@ -739,9 +742,18 @@ SimResult DomainSim::run() {
   result.downlink_goodput_bps = static_cast<double>(dl_bytes) * 8.0 / T;
   result.uplink_goodput_bps = static_cast<double>(ul_bytes) * 8.0 / T;
   if (!delays.empty()) {
-    result.mean_delay_s = delays.mean();
-    result.p95_delay_s = delays.percentile(0.95);
-    result.max_delay_s = delays.percentile(1.0);
+    // Sum in delivery order (before the selection below reorders), then
+    // select the order statistics instead of sorting: the k-th smallest
+    // of a multiset is one value, so this matches a sorted lookup bit
+    // for bit.
+    double delay_sum = 0.0;
+    for (const double d : delays) delay_sum += d;
+    result.mean_delay_s = delay_sum / static_cast<double>(delays.size());
+    const auto p95 = delays.begin() + static_cast<std::ptrdiff_t>(
+                                          nearest_rank(0.95, delays.size()));
+    std::nth_element(delays.begin(), p95, delays.end());
+    result.p95_delay_s = *p95;
+    result.max_delay_s = *std::max_element(p95, delays.end());
   }
   result.mean_ap_queue_depth = queue_depth_integral / T;
   result.airtime_idle =

@@ -256,16 +256,19 @@ void LinkStateMachine::advance(double now) {
   }
 }
 
-LinkSnapshot LinkStateMachine::snapshot() const {
-  if (!policy_.active()) return LinkSnapshot{};
-  std::vector<LinkDecision> decisions(states_.size());
+void LinkStateMachine::snapshot(LinkSnapshot& out) const {
+  std::vector<LinkDecision>& decisions = out.decisions_;
+  if (!policy_.active()) {
+    decisions.clear();
+    return;
+  }
+  decisions.assign(states_.size(), LinkDecision{});
   const bool rate_selection = policy_.rate_adaptation || policy_.feedback;
   for (NodeId sta = 1; sta < states_.size(); ++sta) {
     const StaLinkState& s = states_[sta];
     decisions[sta].rate_bps = rate_selection ? kHtRates[s.rate_index] : 0.0;
     decisions[sta].schedulable = s.health != LinkHealth::kSuspended;
   }
-  return LinkSnapshot(std::move(decisions));
 }
 
 double LinkStateMachine::rate_bps(NodeId sta) const {

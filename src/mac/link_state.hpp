@@ -36,8 +36,8 @@
 //    block the STA out of downlink scheduling entirely until an
 //    exponentially backed-off timeout expires and the AP probes it again.
 //
-// Consumers pull a LinkSnapshot — an immutable per-STA decision table
-// (rate + schedulability) — and hand it to ApQueues::build; producers push
+// Consumers pull a LinkSnapshot — a per-STA decision table (rate +
+// schedulability) — and hand it to ApQueues::build; producers push
 // AckFeedback records, one per sequential-ACK outcome, whether those
 // outcomes came from the analytic PHY model, the trace-driven table, or a
 // real CarpoolReceiver decode (feedback_from_decode). Both paths exercise
@@ -142,7 +142,8 @@ struct LinkDecision {
   bool schedulable = true;
 };
 
-/// Immutable per-STA decision table consumed by ApQueues::build.
+/// Per-STA decision table consumed by ApQueues::build; read-only to
+/// everyone but LinkStateMachine::snapshot, which refills it in place.
 ///
 /// Indexing contract: the table is addressed by NodeId and **index 0 is
 /// the AP**, which is never a valid downlink destination. Unlike the old
@@ -171,6 +172,8 @@ class LinkSnapshot {
   [[nodiscard]] bool blocked(NodeId sta) const;
 
  private:
+  friend class LinkStateMachine;
+
   std::vector<LinkDecision> decisions_;
 };
 
@@ -222,8 +225,10 @@ class LinkStateMachine {
   /// (schedulable again). Call before taking a snapshot for a TXOP.
   void advance(double now);
 
-  /// Decision table for ApQueues::build, reflecting current state.
-  [[nodiscard]] LinkSnapshot snapshot() const;
+  /// Refill `out` with the decision table for ApQueues::build, reflecting
+  /// current state. Reuses `out`'s storage, so a caller that keeps one
+  /// snapshot across TXOPs does not allocate.
+  void snapshot(LinkSnapshot& out) const;
 
   /// Current rate decision for one STA (0 = default rate). Valid for
   /// STAs only; NodeId 0 (the AP) throws std::logic_error.

@@ -198,9 +198,6 @@ class Simulator {
   SimResult run();
 
  private:
-  struct Contender;
-  struct PendingArrival;
-
   SimConfig config_;
   std::vector<FlowSpec> flows_;
 };

@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "common/json.hpp"
+#include "common/stats.hpp"
 
 namespace carpool::obs {
 namespace {
@@ -49,13 +50,9 @@ void Histogram::record(double v) noexcept {
 }
 
 double Histogram::percentile(double p) const {
-  if (p < 0.0 || p > 1.0) {
-    throw std::invalid_argument("Histogram::percentile: p outside [0, 1]");
-  }
   const std::uint64_t n = count();
+  const std::uint64_t rank = nearest_rank(p, n);
   if (n == 0) return 0.0;
-  const auto rank = static_cast<std::uint64_t>(
-      p * static_cast<double>(n - 1) + 0.5);
   std::uint64_t seen = 0;
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
     seen += bucket_count(i);

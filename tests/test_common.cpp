@@ -343,6 +343,7 @@ TEST(Stats, PercentileEdgeCases) {
   EXPECT_THROW((void)empty.percentile(0.5), std::logic_error);
   EXPECT_THROW((void)s.percentile(-0.1), std::invalid_argument);
   EXPECT_THROW((void)s.percentile(1.1), std::invalid_argument);
+  EXPECT_THROW((void)s.percentile(std::nan("")), std::invalid_argument);
 }
 
 TEST(Stats, SortedCacheInvalidatedByAdd) {

@@ -237,8 +237,8 @@ TEST(TimeFairness, LeastOccupancyServedFirst) {
   std::vector<double> occupancy(11, 0.0);
   for (NodeId sta = 1; sta <= 8; ++sta) occupancy[sta] = 1.0;
   const MacParams params;
-  const Transmission tx =
-      q.build(Scheme::kCarpool, params, policy, 1.0, occupancy);
+  Transmission tx;
+  q.build(tx, Scheme::kCarpool, params, policy, occupancy);
   ASSERT_GE(tx.subunits.size(), 2u);
   EXPECT_EQ(tx.subunits[0].dst, 9u);
   EXPECT_EQ(tx.subunits[1].dst, 10u);
@@ -252,7 +252,8 @@ TEST(TimeFairness, FallsBackToFifoWithoutTable) {
   AggregationPolicy policy;
   policy.time_fairness = true;  // but no occupancy table passed
   const MacParams params;
-  const Transmission tx = q.build(Scheme::kCarpool, params, policy, 1.0);
+  Transmission tx;
+  q.build(tx, Scheme::kCarpool, params, policy);
   ASSERT_EQ(tx.subunits.size(), 2u);
   EXPECT_EQ(tx.subunits[0].dst, 1u);  // oldest first
 }

@@ -103,13 +103,16 @@ TEST(LinkStateMachine, FullHealthCycle) {
   machine.on_feedback(1, outcome(false, t += 1e-3));
   EXPECT_EQ(machine.state(1).health, LinkHealth::kSuspended);
   EXPECT_EQ(machine.suspensions(), 1u);
-  EXPECT_TRUE(machine.snapshot().blocked(1));
+  LinkSnapshot snapshot;
+  machine.snapshot(snapshot);
+  EXPECT_TRUE(snapshot.blocked(1));
 
   // Timeout expiry: Suspended -> Probing, schedulable again.
   machine.advance(t + policy.initial_timeout + 1e-6);
   EXPECT_EQ(machine.state(1).health, LinkHealth::kProbing);
   EXPECT_EQ(machine.probes(), 1u);
-  EXPECT_FALSE(machine.snapshot().blocked(1));
+  machine.snapshot(snapshot);  // refilled in place
+  EXPECT_FALSE(snapshot.blocked(1));
 
   // Successful probes climb back to the ceiling: Probing -> Degraded ->
   // ... -> Healthy.
@@ -200,7 +203,9 @@ TEST(LinkStateMachine, AllLayersOffNeverLeavesHealthy) {
   EXPECT_EQ(machine.state(1).health, LinkHealth::kHealthy);
   EXPECT_EQ(machine.transition_count(), 0u);
   EXPECT_DOUBLE_EQ(machine.rate_bps(1), 0.0);  // "use the default rate"
-  EXPECT_TRUE(machine.snapshot().empty());
+  LinkSnapshot snapshot;
+  machine.snapshot(snapshot);
+  EXPECT_TRUE(snapshot.empty());
 }
 
 // ------------------------------------------------ delivery-ratio window

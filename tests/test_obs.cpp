@@ -94,6 +94,8 @@ TEST(Registry, HistogramBucketingAndStats) {
   EXPECT_DOUBLE_EQ(h.sum(), 5065.0);
   EXPECT_EQ(h.unit(), "ns");
   EXPECT_THROW((void)h.percentile(1.5), std::invalid_argument);
+  EXPECT_THROW((void)h.percentile(std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
   EXPECT_LE(h.percentile(0.5), 100.0);
 }
 
