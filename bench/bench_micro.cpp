@@ -164,16 +164,18 @@ void BM_Scrambler(benchmark::State& state) {
 BENCHMARK(BM_Scrambler);
 
 void BM_AnalyticSubframeErrorProb(benchmark::State& state) {
-  // One MAC reception judgement (args: rte, num_symbols). RTE evaluates
-  // one logistic per subframe, standard estimation one per symbol. The
-  // SNR cycles over 16 run-time values in 20-35 dB, so no call can be
-  // folded away.
+  // One MAC reception judgement (args: rte, num_symbols, distinct SNRs).
+  // RTE evaluates one logistic per subframe, standard estimation one per
+  // symbol. The SNR cycles over run-time values in 20-35 dB, so no call
+  // can be folded away. 4096 SNRs are far more keys than the model's
+  // 64-slot memo holds, so every call misses and computes; a single SNR
+  // times the memo's hit path instead.
   const mac::AnalyticPhyModel model;
   mac::SubframeChannelQuery query;
   query.rte = state.range(0) != 0;
   query.num_symbols = static_cast<std::size_t>(state.range(1));
   Rng rng(8);
-  std::vector<double> snrs(16);
+  std::vector<double> snrs(static_cast<std::size_t>(state.range(2)));
   for (double& snr : snrs) snr = rng.uniform(20.0, 35.0);
   std::size_t i = 0;
   for (auto _ : state) {
@@ -181,7 +183,9 @@ void BM_AnalyticSubframeErrorProb(benchmark::State& state) {
     benchmark::DoNotOptimize(model.subframe_error_prob(query));
   }
 }
-BENCHMARK(BM_AnalyticSubframeErrorProb)->ArgsProduct({{0, 1}, {8, 47, 400}});
+BENCHMARK(BM_AnalyticSubframeErrorProb)
+    ->ArgsProduct({{0, 1}, {8, 47, 400}, {4096}})
+    ->Args({1, 47, 1});
 
 // ---------------------------------------------------------------------
 // Kernel backend throughput: scalar reference vs the best SIMD tier.

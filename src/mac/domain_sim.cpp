@@ -1,6 +1,7 @@
 #include "mac/domain_sim.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <queue>
 #include <stdexcept>
@@ -46,6 +47,21 @@ std::size_t charge_retry(SubUnit& su, std::size_t retry_limit) {
   return dropped;
 }
 
+/// Odds that an overhearer's A-HDR Bloom test passes falsely for some
+/// subframe of an n-subunit Carpool aggregate, indexed by n: a function
+/// of the subunit count alone, evaluated once per count.
+const std::array<double, kMaxReceivers + 1>& false_positive_odds() {
+  static const std::array<double, kMaxReceivers + 1> odds = [] {
+    std::array<double, kMaxReceivers + 1> table{};
+    for (std::size_t n = 1; n <= kMaxReceivers; ++n) {
+      const double r = theoretical_fp_rate(n, 4);
+      table[n] = 1.0 - std::pow(1.0 - r, static_cast<double>(kMaxReceivers));
+    }
+    return table;
+  }();
+  return odds;
+}
+
 struct ArrivalEvent {
   double time;
   std::size_t flow;
@@ -59,6 +75,12 @@ DomainSim::DomainSim(SimConfig config, std::uint32_t domain)
     : config_(std::move(config)), domain_(domain) {
   if (config_.num_stas == 0) {
     throw std::invalid_argument("DomainSim: need at least one STA");
+  }
+  if (config_.scheme == Scheme::kCarpool &&
+      config_.aggregation.max_receivers > kMaxReceivers) {
+    // The A-HDR Bloom filter addresses at most kMaxReceivers subframes.
+    throw std::invalid_argument(
+        "DomainSim: Carpool aggregates at most 8 receivers");
   }
   if (!config_.phy) {
     config_.phy = std::make_shared<AnalyticPhyModel>();
@@ -669,14 +691,11 @@ SimResult DomainSim::run() {
     if (is_downlink) {
       for (const SubUnit& su : tx.subunits) addressed[su.dst] = &su;
     }
-    // Odds that an overhearer's A-HDR Bloom test passes falsely for some
-    // subframe; a function of the subunit count alone.
-    double p_false_positive = 0.0;
-    if (carpool_like && is_downlink) {
-      const double r = theoretical_fp_rate(tx.subunits.size(), 4);
-      p_false_positive =
-          1.0 - std::pow(1.0 - r, static_cast<double>(kMaxReceivers));
-    }
+    // The constructor bounds a Carpool aggregate at kMaxReceivers.
+    const double p_false_positive =
+        carpool_like && is_downlink
+            ? false_positive_odds()[tx.subunits.size()]
+            : 0.0;
     for (NodeId sta = 1; sta <= config_.num_stas; ++sta) {
       if (sta == src) continue;
       if (const SubUnit* own = addressed[sta]; own != nullptr) {

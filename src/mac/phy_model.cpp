@@ -1,6 +1,7 @@
 #include "mac/phy_model.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 namespace carpool::mac {
@@ -29,7 +30,58 @@ double AnalyticPhyModel::rate_margin_db(double rate_bps) {
   return margin;
 }
 
+namespace {
+
+/// Memo slot for a folded key: splitmix64's finalizer, whose top six bits
+/// pick one of 64 slots.
+std::size_t memo_slot(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return static_cast<std::size_t>(z >> 58);
+}
+
+}  // namespace
+
 double AnalyticPhyModel::subframe_error_prob(
+    const SubframeChannelQuery& query) const {
+  static_assert(kMemoSlots == 64, "memo_slot and the filled masks hold 64");
+  SubframeKey key;
+  key.snr_bits = std::bit_cast<std::uint64_t>(query.snr_db);
+  key.rate_bits = std::bit_cast<std::uint64_t>(query.rate_bps);
+  key.coherence_bits = std::bit_cast<std::uint64_t>(query.coherence_time);
+  key.num_symbols = query.num_symbols;
+  key.start_symbol = query.rte ? 0 : query.start_symbol;
+  key.rte = query.rte;
+  const std::size_t slot = memo_slot(
+      key.snr_bits ^ std::rotl(key.rate_bits, 13) ^
+      std::rotl(key.coherence_bits, 26) ^ std::rotl(key.num_symbols, 39) ^
+      std::rotl(key.start_symbol, 52) ^ static_cast<std::uint64_t>(key.rte));
+  const std::uint64_t slot_bit = std::uint64_t{1} << slot;
+  SubframeMemo& memo = subframe_memo_[slot];
+  if ((subframe_filled_ & slot_bit) != 0 && memo.key == key) {
+    return memo.answer;
+  }
+  memo.key = key;
+  memo.answer = compute_subframe_error_prob(query);
+  subframe_filled_ |= slot_bit;
+  return memo.answer;
+}
+
+double AnalyticPhyModel::control_error_prob(double snr_db) const {
+  const std::uint64_t snr_bits = std::bit_cast<std::uint64_t>(snr_db);
+  const std::size_t slot = memo_slot(snr_bits);
+  const std::uint64_t slot_bit = std::uint64_t{1} << slot;
+  ControlMemo& memo = control_memo_[slot];
+  if ((control_filled_ & slot_bit) != 0 && memo.snr_bits == snr_bits) {
+    return memo.answer;
+  }
+  memo.snr_bits = snr_bits;
+  memo.answer = compute_control_error_prob(snr_db);
+  control_filled_ |= slot_bit;
+  return memo.answer;
+}
+
+double AnalyticPhyModel::compute_subframe_error_prob(
     const SubframeChannelQuery& query) const {
   // Success requires every symbol group to decode; staleness grows with
   // the symbol's distance from the last channel-estimate refresh: the
@@ -60,7 +112,7 @@ double AnalyticPhyModel::subframe_error_prob(
   return 1.0 - success;
 }
 
-double AnalyticPhyModel::control_error_prob(double snr_db) const {
+double AnalyticPhyModel::compute_control_error_prob(double snr_db) const {
   // Control frames ride the basic rate (MCS0-class robustness) right
   // after a fresh preamble: a few symbols at zero staleness with the full
   // low-rate margin.

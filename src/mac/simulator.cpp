@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "carpool/bloom.hpp"
 #include "mac/domain_sim.hpp"
 
 // mac::Simulator is the stable single-BSS entry point; since the
@@ -16,6 +17,11 @@ namespace carpool::mac {
 Simulator::Simulator(SimConfig config) : config_(std::move(config)) {
   if (config_.num_stas == 0) {
     throw std::invalid_argument("Simulator: need at least one STA");
+  }
+  if (config_.scheme == Scheme::kCarpool &&
+      config_.aggregation.max_receivers > kMaxReceivers) {
+    throw std::invalid_argument(
+        "Simulator: Carpool aggregates at most 8 receivers");
   }
   if (!config_.phy) {
     config_.phy = std::make_shared<AnalyticPhyModel>();

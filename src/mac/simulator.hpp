@@ -131,7 +131,10 @@ struct SimConfig {
   double wifox_cw_scale = 0.25;
   std::size_t wifox_backlog_threshold = 4;
 
-  std::shared_ptr<const PhyErrorModel> phy;  ///< defaults to Analytic
+  /// Defaults to a fresh AnalyticPhyModel per simulator. A model keeps
+  /// mutable state (its memo, a walk cursor), so simulators that run on
+  /// different threads must not share one instance.
+  std::shared_ptr<const PhyErrorModel> phy;
 };
 
 struct NodeEnergy {

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <random>
+#include <utility>
+#include <vector>
 
 #include "common/hash.hpp"
 #include "mac/aggregation.hpp"
@@ -159,12 +164,24 @@ class ReferencePhyModel final : public PhyErrorModel {
   AnalyticPhyModel model_;
 };
 
+/// Reference for AnalyticPhyModel::control_error_prob from the model's
+/// public pieces: four basic-rate symbols at zero staleness.
+double reference_control_error_prob(const AnalyticPhyModel& model,
+                                    double snr_db) {
+  const double per_symbol = model.symbol_error_prob(
+      snr_db + AnalyticPhyModel::rate_margin_db(6.5e6), 0.0);
+  return 1.0 - std::pow(1.0 - per_symbol, 4.0);
+}
+
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 TEST(AnalyticPhy, SubframeErrorProbMatchesPerSymbolReference) {
   // Bit for bit, not within ULPs: soak fingerprints hash every simulated
   // statistic, so a pow() shortcut that rounds differently could move
-  // them although EXPECT_DOUBLE_EQ (4 ULPs) would pass.
+  // them although EXPECT_DOUBLE_EQ (4 ULPs) would pass. The model
+  // memoizes its answers, so the grid is sent twice through the same
+  // instance: once in order, then as a seeded shuffled sample whose
+  // repeats hit the memo.
   AnalyticPhyModel::Params no_residual;
   no_residual.rte_residual_symbols = 0.0;
   AnalyticPhyModel::Params long_residual;
@@ -183,8 +200,16 @@ TEST(AnalyticPhy, SubframeErrorProbMatchesPerSymbolReference) {
   // success <= 1e-9 early exit.
   std::size_t early_exits[2] = {0, 0};
   std::size_t partial[2] = {0, 0};  // strictly between 0 and 1
+  struct Graded {
+    SubframeChannelQuery query;
+    double want;
+  };
+  std::vector<Graded> grid;
+  std::mt19937_64 shuffle_rng(2024);
+  std::size_t resent = 0;
   for (const AnalyticPhyModel::Params& params : param_sets) {
     const AnalyticPhyModel model(params);
+    grid.clear();
     for (const bool rte : {false, true}) {
       for (int quarter_db = -40; quarter_db <= 240; ++quarter_db) {
         for (const double rate : rates) {
@@ -201,6 +226,7 @@ TEST(AnalyticPhy, SubframeErrorProbMatchesPerSymbolReference) {
                 const double want =
                     reference_subframe_error_prob(model, params, q);
                 const double got = model.subframe_error_prob(q);
+                grid.push_back({q, want});
                 ++compared;
                 if (want == 1.0) ++early_exits[rte];
                 if (want > 0.0 && want < 1.0) ++partial[rte];
@@ -219,11 +245,137 @@ TEST(AnalyticPhy, SubframeErrorProbMatchesPerSymbolReference) {
         }
       }
     }
+    // The grid again, shuffled. Even draws come from a hot set of 96
+    // points, more than the memo's 64 slots, so they hit and evict one
+    // another; odd draws come from the whole grid and mostly miss.
+    std::shuffle(grid.begin(), grid.end(), shuffle_rng);
+    for (std::size_t i = 0; i < 20000; ++i) {
+      const std::size_t pick =
+          shuffle_rng() % (i % 2 == 0 ? std::size_t{96} : grid.size());
+      const Graded& g = grid[pick];
+      ++resent;
+      if (bits(model.subframe_error_prob(g.query)) != bits(g.want) &&
+          ++mismatches <= 5) {
+        ADD_FAILURE() << "resent grid point " << pick << ": got "
+                      << model.subframe_error_prob(g.query)
+                      << ", reference " << g.want;
+      }
+    }
   }
-  EXPECT_EQ(mismatches, 0u) << "of " << compared << " queries";
+  EXPECT_EQ(mismatches, 0u) << "of " << compared << " + " << resent
+                            << " queries";
+  EXPECT_GE(resent, 50000u);
   for (const bool rte : {false, true}) {
     EXPECT_GT(early_exits[rte], 0u) << "rte=" << rte;
     EXPECT_GT(partial[rte], 0u) << "rte=" << rte;
+  }
+
+  // Queries one field away from a just-answered one: each neighbour's
+  // reference differs from the base's, so a memo that ignored the field
+  // would return the base's answer. Ask base, neighbour, base, neighbour.
+  const AnalyticPhyModel model;
+  const AnalyticPhyModel::Params params;
+  SubframeChannelQuery base;
+  base.snr_db = 25.3;
+  base.rate_bps = 65e6;  // no rate margin to round the ULP away
+  base.num_symbols = 47;
+  base.start_symbol = 17;
+  base.coherence_time = 2e-3;
+  base.rte = false;
+  std::vector<std::pair<const char*, SubframeChannelQuery>> neighbours;
+  auto add = [&](const char* field, auto&& edit) {
+    SubframeChannelQuery q = base;
+    edit(q);
+    neighbours.emplace_back(field, q);
+  };
+  add("snr_db + 1 ulp", [](SubframeChannelQuery& q) {
+    q.snr_db = std::nextafter(q.snr_db, 100.0);
+  });
+  add("rate_bps", [](SubframeChannelQuery& q) { q.rate_bps = 39e6; });
+  add("num_symbols", [](SubframeChannelQuery& q) { ++q.num_symbols; });
+  add("coherence_time",
+      [](SubframeChannelQuery& q) { q.coherence_time = 3e-3; });
+  add("rte", [](SubframeChannelQuery& q) { q.rte = true; });
+  add("start_symbol", [](SubframeChannelQuery& q) { ++q.start_symbol; });
+  const double base_want = reference_subframe_error_prob(model, params, base);
+  for (const auto& [field, q] : neighbours) {
+    const double want = reference_subframe_error_prob(model, params, q);
+    ASSERT_NE(bits(want), bits(base_want)) << field;
+    for (int round = 0; round < 2; ++round) {
+      EXPECT_EQ(bits(model.subframe_error_prob(base)), bits(base_want))
+          << field << ", round " << round;
+      EXPECT_EQ(bits(model.subframe_error_prob(q)), bits(want))
+          << field << ", round " << round;
+    }
+  }
+  // The RTE branch never reads start_symbol: one answer for any start.
+  SubframeChannelQuery rte = base;
+  rte.rte = true;
+  const double rte_want = reference_subframe_error_prob(model, params, rte);
+  for (const std::size_t start : {17, 18, 0, 400}) {
+    rte.start_symbol = start;
+    EXPECT_EQ(bits(model.subframe_error_prob(rte)), bits(rte_want)) << start;
+  }
+
+  // SNRs a memo keyed on values instead of bits would confuse: both
+  // zeros, a quiet NaN, and the all-ones NaN pattern an empty-slot marker
+  // might use. Each goes twice, on both branches, to a fresh model: the
+  // first answer must not come from an empty slot, the second may come
+  // from the memo and must carry the same bits.
+  const double edge_snrs[] = {0.0, -0.0,
+                              std::numeric_limits<double>::quiet_NaN(),
+                              std::bit_cast<double>(~std::uint64_t{0})};
+  for (const double snr : edge_snrs) {
+    for (const bool with_rte : {false, true}) {
+      const AnalyticPhyModel fresh;
+      SubframeChannelQuery q = base;
+      q.snr_db = snr;
+      q.rte = with_rte;
+      const double want = reference_subframe_error_prob(fresh, params, q);
+      for (int round = 0; round < 2; ++round) {
+        EXPECT_EQ(bits(fresh.subframe_error_prob(q)), bits(want))
+            << "snr bits " << std::hex << bits(snr) << ", rte " << with_rte;
+      }
+    }
+  }
+
+  // The same checks for the ACK odds, keyed on the SNR alone: a sweep, a
+  // shuffled resend with repeats, a one-ULP neighbour, and the edge SNRs.
+  std::vector<std::pair<double, double>> control_grid;  // (snr, reference)
+  std::size_t control_mismatches = 0;
+  for (int eighth_db = -400; eighth_db <= 400; ++eighth_db) {
+    const double snr = 0.125 * eighth_db;
+    const double want = reference_control_error_prob(model, snr);
+    control_grid.emplace_back(snr, want);
+    if (bits(model.control_error_prob(snr)) != bits(want)) {
+      ++control_mismatches;
+    }
+  }
+  std::shuffle(control_grid.begin(), control_grid.end(), shuffle_rng);
+  for (std::size_t i = 0; i < 50000; ++i) {
+    const auto& [snr, want] = control_grid[shuffle_rng() %
+        (i % 2 == 0 ? std::size_t{96} : control_grid.size())];
+    if (bits(model.control_error_prob(snr)) != bits(want)) {
+      ++control_mismatches;
+    }
+  }
+  EXPECT_EQ(control_mismatches, 0u);
+  const double ack_snr = -9.3;
+  const double ack_next = std::nextafter(ack_snr, 100.0);
+  const double ack_want = reference_control_error_prob(model, ack_snr);
+  const double next_want = reference_control_error_prob(model, ack_next);
+  ASSERT_NE(bits(ack_want), bits(next_want));
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_EQ(bits(model.control_error_prob(ack_snr)), bits(ack_want));
+    EXPECT_EQ(bits(model.control_error_prob(ack_next)), bits(next_want));
+  }
+  for (const double snr : edge_snrs) {
+    const AnalyticPhyModel fresh;
+    const double want = reference_control_error_prob(fresh, snr);
+    for (int round = 0; round < 2; ++round) {
+      EXPECT_EQ(bits(fresh.control_error_prob(snr)), bits(want))
+          << "snr bits " << std::hex << bits(snr);
+    }
   }
 }
 
@@ -295,6 +447,33 @@ TEST(ApQueues, CarpoolAggregatesAcrossStas) {
   // Oldest 8 STAs selected.
   for (const SubUnit& su : tx.subunits) EXPECT_LE(su.dst, 8u);
   EXPECT_EQ(q.depth(), 4u);
+}
+
+TEST(ApQueues, CarpoolWidthBoundedByAhdr) {
+  // The A-HDR's Bloom filter addresses at most kMaxReceivers (8)
+  // subframes, so both MAC entry points refuse a wider Carpool aggregate;
+  // other schemes keep any width.
+  SimConfig cfg;
+  cfg.scheme = Scheme::kCarpool;
+  cfg.num_stas = 12;
+  cfg.duration = 0.5;
+  cfg.seed = 5;
+  cfg.aggregation.max_receivers = 9;
+  EXPECT_THROW(Simulator{cfg}, std::invalid_argument);
+  EXPECT_THROW(DomainSim{cfg}, std::invalid_argument);
+  cfg.scheme = Scheme::kMuAggregation;
+  EXPECT_NO_THROW(Simulator{cfg});
+
+  cfg.scheme = Scheme::kCarpool;
+  cfg.aggregation.max_receivers = 8;
+  Simulator sim(cfg);
+  for (NodeId sta = 1; sta <= 12; ++sta) {
+    sim.add_flow(traffic::make_cbr_flow(sta, 300, 0.001));
+  }
+  const SimResult result = sim.run();
+  EXPECT_GT(result.dl_frames_delivered, 0u);
+  EXPECT_GT(result.avg_aggregated_receivers, 1.0);
+  EXPECT_LE(result.avg_aggregated_receivers, 8.0);
 }
 
 TEST(ApQueues, AggregateByteCapRespected) {

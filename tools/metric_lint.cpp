@@ -10,8 +10,10 @@
 //   latency_histogram("..."), OBS_SCOPED_TIMER("..."),
 //   OBS_TIMED_SPAN("...")
 //
-// — and checks each against the metadata catalog in
-// src/obs/metrics_meta.cpp (exact name or registered `prefix*` family).
+// each call name a whole identifier, with optional whitespace around the
+// `(`, and text after `//` on a line skipped — and checks each against
+// the metadata catalog in src/obs/metrics_meta.cpp (exact name or
+// registered `prefix*` family).
 // Any unregistered name is listed with its file:line and the tool exits
 // 1, which CI treats as a build failure: every metric that can appear
 // in a schema_version-2 export must carry unit/layer/description
@@ -23,11 +25,14 @@
 // 2 = usage/IO error.
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <regex>
+#include <iterator>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "obs/metrics_meta.hpp"
@@ -47,6 +52,52 @@ bool is_source_file(const fs::path& path) {
   return ext == ".cpp" || ext == ".hpp";
 }
 
+/// Calls whose first argument is a metric name.
+constexpr std::string_view kSiteCalls[] = {
+    "counter",           "gauge",            "set_gauge",     "histogram",
+    "latency_histogram", "OBS_SCOPED_TIMER", "OBS_TIMED_SPAN"};
+
+bool is_identifier_char(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+}
+
+std::size_t skip_space(std::string_view line, std::size_t i) {
+  while (i < line.size() &&
+         std::isspace(static_cast<unsigned char>(line[i])) != 0) {
+    ++i;
+  }
+  return i;
+}
+
+/// The metric names on one line: each is the non-empty string literal
+/// that opens the argument list of a kSiteCalls identifier.
+std::vector<std::string> site_names(std::string_view line) {
+  std::vector<std::string> names;
+  std::size_t i = 0;
+  while (i < line.size()) {
+    if (!is_identifier_char(line[i])) {
+      ++i;
+      continue;
+    }
+    const std::size_t begin = i;
+    while (i < line.size() && is_identifier_char(line[i])) ++i;
+    const std::string_view word = line.substr(begin, i - begin);
+    if (std::find(std::begin(kSiteCalls), std::end(kSiteCalls), word) ==
+        std::end(kSiteCalls)) {
+      continue;
+    }
+    std::size_t at = skip_space(line, i);
+    if (at == line.size() || line[at] != '(') continue;
+    at = skip_space(line, at + 1);
+    if (at == line.size() || line[at] != '"') continue;
+    const std::size_t close = line.find('"', at + 1);
+    if (close == std::string_view::npos || close == at + 1) continue;
+    names.emplace_back(line.substr(at + 1, close - at - 1));
+    i = close + 1;
+  }
+  return names;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -61,9 +112,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const std::regex site(
-      R"((?:\b(?:counter|set_gauge|gauge|latency_histogram|histogram)|OBS_SCOPED_TIMER|OBS_TIMED_SPAN)\s*\(\s*"([^"]+)\")");
-
   std::vector<Hit> unregistered;
   std::size_t sites = 0;
   std::size_t files = 0;
@@ -74,7 +122,7 @@ int main(int argc, char** argv) {
       if (!entry.is_regular_file() || !is_source_file(entry.path())) {
         continue;
       }
-      // The lint's own pattern table would read as call sites.
+      // The lint's own source quotes the call sites it looks for.
       if (entry.path().filename() == "metric_lint.cpp") continue;
       std::ifstream in(entry.path());
       if (!in) {
@@ -92,9 +140,7 @@ int main(int argc, char** argv) {
         // Line comments often quote example names; don't lint them.
         const std::size_t comment = line.find("//");
         if (comment != std::string::npos) line.resize(comment);
-        auto it = std::sregex_iterator(line.begin(), line.end(), site);
-        for (; it != std::sregex_iterator(); ++it) {
-          const std::string name = (*it)[1].str();
+        for (const std::string& name : site_names(line)) {
           ++sites;
           if (carpool::obs::find_metric_meta(name) == nullptr) {
             unregistered.push_back(Hit{rel, line_no, name});
@@ -110,10 +156,12 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (!unregistered.empty()) {
-    std::sort(unregistered.begin(), unregistered.end(),
-              [](const Hit& a, const Hit& b) {
-                return std::tie(a.file, a.line) < std::tie(b.file, b.line);
-              });
+    // Stable, so two names on one line stay in column order.
+    std::stable_sort(unregistered.begin(), unregistered.end(),
+                     [](const Hit& a, const Hit& b) {
+                       return std::tie(a.file, a.line) <
+                              std::tie(b.file, b.line);
+                     });
     std::fprintf(stderr,
                  "metric_lint: %zu metric name(s) missing from the "
                  "metadata catalog (src/obs/metrics_meta.cpp):\n",
