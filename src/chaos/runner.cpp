@@ -1,11 +1,15 @@
 #include "chaos/runner.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <condition_variable>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <mutex>
 #include <sstream>
 
 #include "carpool/transceiver.hpp"
@@ -319,15 +323,34 @@ std::vector<std::vector<ProbeHarness::Probe>> plan_probes(
 
 // ----------------------------------------------------- repeat execution
 //
-// One full timeline pass, extracted so every repeat of the wave
-// scheduler (docs/PARALLELISM.md), live or detached, runs the *same*
-// code. A `live` pass runs with the real campaign coordinates — frame
-// budget and fault injection armed, violations stamped with
-// campaign-wide frame counts. A detached pass (live == false) runs the
-// identical simulation from frame base 0 with those stop checks
-// disarmed; the frame base feeds only stop checks and recorded
-// coordinates (see StepInvariants), so a detached pass is bit-identical
-// to a live one right up to the first stop event.
+// One full timeline pass, extracted so every repeat of the campaign
+// stream (docs/PARALLELISM.md), live or detached, runs the *same* code.
+// A `live` pass runs with the real campaign coordinates — frame budget
+// and fault injection armed, violations stamped with campaign-wide frame
+// counts. A detached pass (live == false) runs the identical simulation
+// from frame base 0 with those stop checks disarmed; the frame base feeds
+// only stop checks and recorded coordinates (see StepInvariants), so a
+// detached pass is bit-identical to a live one right up to the first stop
+// event. A detached pass also ends at its next observer step once the
+// campaign is cancelled; its output is then never consumed.
+
+/// Everything a repeat job reads, jointly owned by the campaign and its
+/// jobs: a watchdog-abandoned attempt thread (detached in
+/// par::detail::run_attempt_with_watchdog) that outlives SoakRunner::run —
+/// or the SoakRunner — still runs against live scenario, domain, episode,
+/// and option state instead of dangling references. Episode phase
+/// pointers alias `s.traffic`, which is why the scenario and its episodes
+/// must share one lifetime; the SNR hooks of a repeat's simulators point
+/// into `domains`.
+struct CampaignCtx {
+  Scenario s;
+  SoakOptions opts;
+  Domains domains;
+  std::vector<Episode> episodes;
+  /// Set once the campaign stops: detached repeats still running end
+  /// early, and nothing past the stop is consumed.
+  std::atomic<bool> cancel{false};
+};
 
 struct RepeatOutcome {
   std::vector<EpisodeSummary> summaries;
@@ -342,10 +365,12 @@ struct RepeatOutcome {
   bool stopped = false;  ///< a stop event fired (violation/inject/budget)
 };
 
-RepeatOutcome run_one_repeat(const Scenario& s, const Domains& domains,
-                             const std::vector<Episode>& episodes,
-                             std::size_t repeat, std::uint64_t campaign_base,
-                             const SoakOptions& opts, bool live) {
+RepeatOutcome run_one_repeat(const CampaignCtx& ctx, std::size_t repeat,
+                             std::uint64_t campaign_base, bool live) {
+  const Scenario& s = ctx.s;
+  const Domains& domains = ctx.domains;
+  const std::vector<Episode>& episodes = ctx.episodes;
+  const SoakOptions& opts = ctx.opts;
   RepeatOutcome out;
 
   // Correlated shadowing (channel/shadowing.hpp): one process per repeat
@@ -477,6 +502,10 @@ RepeatOutcome run_one_repeat(const Scenario& s, const Domains& domains,
       ProbeHarness& domain_probes = probes[d];
       std::size_t& probe_cursor = next_probe[d];
       cfg.observer = [&](const mac::SimStepView& view) {
+        if (!live && ctx.cancel.load()) {
+          stop_campaign = stop_episode = true;  // past the stop: discarded
+          return false;
+        }
         ++out.steps;
         ++episode_steps;
         episode_judged = view.frames_judged;
@@ -625,24 +654,114 @@ bool repeat_is_stopping(const RepeatOutcome& o, const Scenario& s,
   return false;
 }
 
+/// A campaign's repeats in flight (docs/PARALLELISM.md). Repeats are
+/// dispatched in index order into a look-ahead of 2N - 1 repeats starting
+/// at the next one to consume, N workers of one pool run them, and the
+/// calling thread takes them back strictly in repeat order. A repeat
+/// dispatched when every earlier repeat has been consumed runs live at the
+/// campaign's real frame base; any other runs detached. Every repeat runs
+/// through par::run_shard, so retries, the watchdog and planned faults
+/// (addressed by campaign repeat number) apply to each. At N = 1 the
+/// look-ahead is one repeat, always live, run inline on the calling
+/// thread: no thread is spawned and no repeat runs twice.
+class RepeatStream {
+ public:
+  struct Repeat {
+    bool live = false;
+    par::ShardRun run;
+    RepeatOutcome outcome;
+  };
+
+  /// Stream repeats [first, end) on `threads` workers (capped at the
+  /// repeat count).
+  RepeatStream(std::shared_ptr<CampaignCtx> ctx, std::size_t first,
+               std::size_t end, std::size_t threads)
+      : ctx_(std::move(ctx)),
+        next_dispatch_(first),
+        end_(end),
+        workers_(std::max<std::size_t>(1, std::min(threads, end - first))),
+        collect_spans_(obs::SpanCollector::current() != nullptr) {}
+
+  RepeatStream(const RepeatStream&) = delete;
+  RepeatStream& operator=(const RepeatStream&) = delete;
+
+  /// Cancel the detached repeats still in flight; the pool, declared
+  /// last, then drains before the slots its workers write are destroyed.
+  ~RepeatStream() { cancel(); }
+
+  /// Everything still in flight is past the stop: end it early.
+  void cancel() noexcept { ctx_->cancel.store(true); }
+
+  /// Fill the look-ahead — `frames_judged` is the live frame base of a
+  /// repeat dispatched now — then block until the next repeat to consume
+  /// has finished and hand it over.
+  [[nodiscard]] Repeat take(std::uint64_t frames_judged) {
+    while (next_dispatch_ < end_ && slots_.size() < 2 * workers_ - 1) {
+      dispatch(frames_judged);
+    }
+    Slot& front = slots_.front();
+    {
+      std::unique_lock lock(mutex_);
+      done_cv_.wait(lock, [&front] { return front.done; });
+    }
+    Repeat out = std::move(front.repeat);
+    slots_.pop_front();
+    return out;
+  }
+
+ private:
+  struct Slot {
+    Repeat repeat;
+    bool done = false;  ///< guarded by mutex_
+  };
+
+  void dispatch(std::uint64_t frames_judged) {
+    const std::size_t repeat = next_dispatch_++;
+    const bool live = slots_.empty();  // every earlier repeat consumed
+    Slot& slot = slots_.emplace_back();  // deque: other slots stay put
+    slot.repeat.live = live;
+    // Captures by value only: run_shard hands the callable to attempt
+    // threads a watchdog may abandon past this campaign.
+    auto job = [ctx = ctx_, repeat, live,
+                base = live ? frames_judged : 0](const par::ShardInfo&) {
+      return run_one_repeat(*ctx, repeat, base, live);
+    };
+    auto fn = std::make_shared<decltype(job)>(std::move(job));
+    auto work = [this, &slot, fn = std::move(fn), repeat] {
+      const SoakOptions& opts = ctx_->opts;
+      par::run_shard(slot.repeat.run, slot.repeat.outcome,
+                     par::ShardInfo{repeat, end_}, fn, opts.retry,
+                     opts.fault_plan.has_value() ? &*opts.fault_plan
+                                                 : nullptr,
+                     collect_spans_);
+      {
+        const std::scoped_lock lock(mutex_);
+        slot.done = true;
+      }
+      done_cv_.notify_all();
+    };
+    if (workers_ == 1) {
+      work();
+      return;
+    }
+    if (!pool_.has_value()) pool_.emplace(workers_);
+    pool_->submit(std::move(work));
+  }
+
+  std::shared_ptr<CampaignCtx> ctx_;
+  std::size_t next_dispatch_;
+  const std::size_t end_;
+  const std::size_t workers_;
+  const bool collect_spans_;
+  std::deque<Slot> slots_;  ///< dispatched, not yet taken; front is next
+  std::mutex mutex_;
+  std::condition_variable done_cv_;
+  std::optional<par::ThreadPool> pool_;  ///< last: destroyed (drained) first
+};
+
 }  // namespace
 
 SoakReport SoakRunner::run(const Scenario& scenario) const {
-  // Everything a detached repeat job reads lives in this jointly-owned
-  // block: parallel wave jobs capture the shared_ptr by value, so a
-  // watchdog-abandoned attempt thread (detached in
-  // par::detail::run_attempt_with_watchdog) that outlives this frame —
-  // or this SoakRunner — still runs against live scenario, domain,
-  // episode, and option state instead of dangling references. Episode
-  // phase pointers alias ctx->s.traffic, which is why the scenario and
-  // its episodes must share one lifetime; the SNR hooks of a repeat's
-  // simulators point into ctx->domains.
-  struct CampaignCtx {
-    Scenario s;
-    SoakOptions opts;
-    Domains domains;
-    std::vector<Episode> episodes;
-  };
   auto ctx = std::make_shared<CampaignCtx>();
   ctx->s = scenario;
   ctx->opts = opts_;
@@ -740,7 +859,6 @@ SoakReport SoakRunner::run(const Scenario& scenario) const {
   }
 
   ctx->episodes = segment_timeline(s, domains.handover_times());
-  const std::vector<Episode>& episodes = ctx->episodes;
   // A single-pass run (max_frames == 0) has exactly one repeat.
   const std::size_t max_repeats =
       opts_.max_frames == 0 ? 1
@@ -769,95 +887,59 @@ SoakReport SoakRunner::run(const Scenario& scenario) const {
     }
   };
 
-  // Waves of `threads` repeats fan across the pool (docs/PARALLELISM.md).
-  // A wave's first repeat starts at a frame base this thread already
-  // knows, so it runs live: real base, budget and injection checks armed.
-  // The rest run detached (frame base 0, stop checks disarmed); a
-  // detached pass with no stop event is bit-identical to the live pass,
-  // so walking the wave in repeat order its shard metrics merge into the
-  // ambient registry and its outcome joins the report. The first
-  // detached repeat the campaign would have stopped in is re-run live on
-  // this thread — that re-run supplies the authoritative violations,
-  // coordinates, and metrics — and the rest of the wave is discarded.
-  // At threads=1 every wave is one live repeat.
-  //
-  // Without retries or faults there is no DegradedReport sink, so a
-  // throwing repeat kills the campaign with its own exception.
+  // Repeats stream through RepeatStream and are consumed here strictly
+  // in repeat order (docs/PARALLELISM.md). A live repeat and a detached
+  // repeat with no stop event are exactly what a live run produces, so
+  // their shard metrics merge into the ambient registry and their
+  // outcomes join the report. The first detached repeat the campaign
+  // would have stopped in is re-run live on this thread — that re-run
+  // supplies the authoritative violations, coordinates, and metrics — and
+  // everything after it is cancelled unconsumed. Quarantines, retries,
+  // and stalls count only for consumed repeats. Without retries or faults
+  // a failed repeat is not quarantined: the first consumed repeat that
+  // threw rethrows its own exception once the stream has drained.
   const bool resilient =
       opts_.retry.enabled() || opts_.fault_plan.has_value();
   const auto budget_spent = [&] {
     return opts_.max_frames > 0 && report.frames_judged >= opts_.max_frames;
   };
-  std::size_t next_repeat = start_repeat;
-  std::size_t last_flush = start_repeat;
   // A resumed campaign that already met its budget skips straight to
   // finalization (a resumed single-pass run has no repeat left either).
   bool stop = budget_spent();
-  while (!stop && next_repeat < max_repeats) {
-    const std::size_t wave = std::min(threads, max_repeats - next_repeat);
-    // Captures by value only: `base` and `live_base` because this thread
-    // mutates next_repeat and the report while detached attempts may
-    // still be running, and `ctx` so an abandoned attempt keeps the
-    // campaign state alive (run_sharded_resilient copies the callable
-    // into shared state that outlives this frame).
-    const std::size_t base = next_repeat;
-    const std::uint64_t live_base = report.frames_judged;
-    const auto repeat_job = [ctx, base,
-                             live_base](const par::ShardInfo& info) {
-      const bool live = info.index == 0;
-      return run_one_repeat(ctx->s, ctx->domains, ctx->episodes,
-                            base + info.index, live ? live_base : 0,
-                            ctx->opts, live);
-    };
-    // Fault-plan entries address campaign repeat numbers; re-base them
-    // onto this wave's shard indices.
-    par::FaultPlan windowed;
-    if (opts_.fault_plan.has_value()) {
-      windowed = opts_.fault_plan->window(next_repeat, wave);
+  RepeatStream stream(ctx, start_repeat, max_repeats, threads);
+  std::size_t last_flush = start_repeat;
+  for (std::size_t repeat = start_repeat; !stop && repeat < max_repeats;
+       ++repeat) {
+    RepeatStream::Repeat taken = stream.take(report.frames_judged);
+    report.repeats = repeat + 1;
+    report.degraded.record(repeat, taken.run);
+    if (!taken.run.ok) {
+      if (!resilient) taken.run.rethrow(repeat);
+      continue;  // quarantined: the campaign degrades, it does not abort
     }
-    par::DegradedReport wave_degraded;
-    par::Sharded<RepeatOutcome> shards = par::run_sharded_resilient(
-        wave, threads, opts_.retry,
-        opts_.fault_plan.has_value() ? &windowed : nullptr, repeat_job,
-        resilient ? &wave_degraded : nullptr);
-    // Quarantined repeats: remap wave-local indices back to campaign
-    // repeat numbers and keep going — the campaign degrades, it does
-    // not abort. Their outcomes (null registry slot) are skipped below.
-    for (const par::QuarantinedShard& q : wave_degraded.quarantined) {
-      report.degraded.quarantined.push_back(
-          {next_repeat + q.index, q.attempts, q.error});
-    }
-    report.degraded.retries += wave_degraded.retries;
-    report.degraded.stalls += wave_degraded.stalls;
-    for (std::size_t i = 0; i < wave && !stop; ++i) {
-      const std::size_t repeat = next_repeat + i;
-      report.repeats = repeat + 1;
-      if (shards.metrics[i] == nullptr) continue;
-      RepeatOutcome& o = shards.results[i];
-      if (i > 0 &&
-          repeat_is_stopping(o, s, opts_, report.frames_judged)) {
-        o = run_one_repeat(s, domains, episodes, repeat,
-                           report.frames_judged, opts_, /*live=*/true);
-      } else {
-        obs::Registry::current().merge_from(*shards.metrics[i]);
-        // Span buffers follow the same consume-or-discard rule as shard
-        // metrics: a re-run repeat's detached buffer is dropped because
-        // the live re-run wrote the authoritative spans into the
-        // ambient collector.
-        if (obs::SpanCollector* sc = obs::SpanCollector::current();
-            sc != nullptr && i < shards.spans.size()) {
-          sc->merge_from(*shards.spans[i]);
-        }
+    RepeatOutcome& o = taken.outcome;
+    if (!taken.live &&
+        repeat_is_stopping(o, s, opts_, report.frames_judged)) {
+      stream.cancel();
+      o = run_one_repeat(*ctx, repeat, report.frames_judged, /*live=*/true);
+    } else {
+      obs::Registry::current().merge_from(*taken.run.metrics);
+      // Span buffers follow the same consume-or-discard rule as shard
+      // metrics: a re-run repeat's detached buffer is dropped because
+      // the live re-run wrote the authoritative spans into the
+      // ambient collector.
+      if (obs::SpanCollector* sc = obs::SpanCollector::current();
+          sc != nullptr && taken.run.spans != nullptr) {
+        sc->merge_from(*taken.run.spans);
       }
-      const bool stopped = o.stopped;
-      consume_repeat(report, std::move(o));
-      stop = stopped || budget_spent();
     }
-    next_repeat += wave;
-    if (!stop && next_repeat < max_repeats &&
-        next_repeat - last_flush >= checkpoint_every) {
-      flush_checkpoint(next_repeat);
-      last_flush = next_repeat;
+    const bool stopped = o.stopped;
+    consume_repeat(report, std::move(o));
+    stop = stopped || budget_spent();
+    if (!stop && repeat + 1 < max_repeats &&
+        repeat + 1 - last_flush >= checkpoint_every) {
+      flush_checkpoint(repeat + 1);
+      last_flush = repeat + 1;
     }
   }
 

@@ -65,15 +65,19 @@ struct SoakOptions {
   std::string bundle_dir;
 
   /// Worker threads for timeline repeats (docs/PARALLELISM.md); 0 means
-  /// "auto" (hardware_concurrency). Repeats run in waves of this many
-  /// through carpool::par: a wave's first repeat runs live at its real
-  /// frame base, the rest detached, merged in repeat order, with the
-  /// first stopping detached repeat re-run live on the calling thread.
-  /// The SoakReport — violations, coordinates, frame counts, obs
-  /// metrics — is bit-for-bit identical at any worker count; at 1 every
-  /// wave is one live repeat. A single-pass run (max_frames == 0) is one
-  /// wave of one repeat whatever this says. Repro bundles and the
-  /// shrinker stay strictly serial-replayable either way.
+  /// "auto" (hardware_concurrency). Repeats stream through one
+  /// carpool::par pool of this many workers, in repeat order, with at
+  /// most 2N - 1 in flight counting the next one to consume; the calling
+  /// thread consumes them strictly in repeat order. A repeat dispatched
+  /// once every earlier one has been consumed runs live at its real frame
+  /// base, the rest detached; the first stopping detached repeat is re-run
+  /// live on the calling thread and everything after it is cancelled
+  /// unconsumed. The SoakReport — violations, coordinates, frame counts,
+  /// degraded repeats, obs metrics — is bit-for-bit identical at any
+  /// worker count. At 1 every repeat runs live, inline on the calling
+  /// thread, and a single-pass run (max_frames == 0) is one such repeat
+  /// whatever this says. Repro bundles and the shrinker stay strictly
+  /// serial-replayable either way.
   std::size_t threads = 1;
 
   // ----- fault tolerance (docs/FAULT_TOLERANCE.md) -----
@@ -89,13 +93,14 @@ struct SoakOptions {
   par::RetryPolicy retry{};
 
   /// Deterministic fault injection for the retry machinery (tests and
-  /// drills). Faults address *campaign repeat numbers*; the runner
-  /// windows the plan per wave. Disengaged = no injection.
+  /// drills). Faults address *campaign repeat numbers*, and only hit
+  /// repeats the campaign consumes count. Disengaged = no injection.
   std::optional<par::FaultPlan> fault_plan;
 
   /// When non-empty, flush a resumable campaign checkpoint
   /// (chaos/checkpoint.hpp) into this directory every
-  /// `checkpoint_every` completed repeats and once at the clean end.
+  /// `checkpoint_every` consumed repeats, at any thread count, and once
+  /// at the clean end.
   std::string checkpoint_dir;
   std::size_t checkpoint_every = 8;
 

@@ -71,17 +71,6 @@ FaultPlan FaultPlan::seeded(std::uint64_t seed, std::size_t shards,
   return plan;
 }
 
-FaultPlan FaultPlan::window(std::size_t offset, std::size_t count) const {
-  FaultPlan windowed;
-  windowed.stall_seconds = stall_seconds;
-  for (const Entry& e : entries) {
-    if (e.shard >= offset && e.shard < offset + count) {
-      windowed.entries.push_back({e.shard - offset, e.attempt, e.kind});
-    }
-  }
-  return windowed;
-}
-
 double RetryPolicy::backoff_ms(std::size_t shard,
                                std::size_t attempt) const noexcept {
   if (attempt == 0) return 0.0;
@@ -91,6 +80,25 @@ double RetryPolicy::backoff_ms(std::size_t shard,
       mix64(backoff_seed ^ mix64(shard + 1) ^ mix64(attempt * 0x9e37ULL));
   const double jitter = 0.5 + static_cast<double>(draw >> 11) * 0x1.0p-53;
   return std::min(exp * jitter, backoff_max_ms);
+}
+
+void ShardRun::rethrow(std::size_t index) const {
+  if (exception != nullptr) std::rethrow_exception(exception);
+  throw std::runtime_error("shard " + std::to_string(index) +
+                           " failed after " + std::to_string(attempts) +
+                           " attempts: " + error);
+}
+
+void DegradedReport::record(std::size_t index, const ShardRun& shard) {
+  const std::size_t extra = shard.attempts > 1 ? shard.attempts - 1 : 0;
+  retries += extra;
+  stalls += shard.stalls;
+  if (!shard.ok) quarantined.push_back({index, shard.attempts, shard.error});
+
+  obs::Registry& ambient = obs::Registry::current();
+  if (extra > 0) ambient.counter("par.shard_retry").add(extra);
+  if (shard.stalls > 0) ambient.counter("par.shard_stall").add(shard.stalls);
+  if (!shard.ok) ambient.counter("par.shard_quarantine").add();
 }
 
 std::string DegradedReport::to_string() const {

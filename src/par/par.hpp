@@ -8,8 +8,11 @@
 // jobs across a fixed-size thread pool and merges their outputs in
 // *stable job-index order*, so the aggregate — result vectors, obs
 // counters/gauges, float reductions — is bit-for-bit identical at any
-// thread count. One implementation, run_sharded_resilient, does every
-// fan-out; run_sharded is its ordered-merge wrapper.
+// thread count. One attempt loop, run_shard, runs every shard with its
+// retries, watchdog and planned faults. run_sharded_resilient fans a
+// fixed job count through it, and run_sharded is its ordered-merge
+// wrapper; the soak runner streams campaign repeats through it on its
+// own ThreadPool, consuming them in repeat order (chaos/runner.cpp).
 //
 // The determinism contract rests on three rules:
 //   1. Jobs are pure functions of their index (same seeds, same inputs,
@@ -118,7 +121,7 @@ class ThreadPool {
 /// Registry::current() / SpanCollector::current() on its thread.
 struct ShardInfo {
   std::size_t index = 0;  ///< job index, the determinism coordinate
-  std::size_t total = 0;  ///< job count in this sharded run
+  std::size_t total = 0;  ///< job count (a soak stream: its repeat cap)
 };
 
 /// A sharded run's raw output: per-job results plus each shard's private
@@ -149,9 +152,9 @@ enum class FaultKind {
 
 /// Deterministic fault-injection plan, mirroring impair::ImpairmentChain:
 /// a fixed table of (shard, attempt) -> FaultKind entries consulted by
-/// run_sharded_resilient before each attempt. Because the table is data,
-/// not randomness sampled at run time, the same plan produces the same
-/// fault schedule at any thread count.
+/// run_shard before each attempt. Because the table is data, not
+/// randomness sampled at run time, the same plan produces the same fault
+/// schedule at any thread count.
 struct FaultPlan {
   struct Entry {
     std::size_t shard = 0;
@@ -174,18 +177,11 @@ struct FaultPlan {
   [[nodiscard]] static FaultPlan seeded(std::uint64_t seed,
                                         std::size_t shards, double rate,
                                         FaultKind kind = FaultKind::kThrow);
-
-  /// Re-base this plan onto a window of shards [offset, offset+count):
-  /// entries inside the window survive with shard indices shifted to be
-  /// window-local; entries outside are dropped. Lets a campaign address
-  /// faults by global repeat number while fanning out wave by wave.
-  [[nodiscard]] FaultPlan window(std::size_t offset,
-                                 std::size_t count) const;
 };
 
-/// Retry + watchdog policy for run_sharded_resilient. Disabled by
-/// default (max_attempts == 1, no watchdog): every shard then gets one
-/// attempt, which is what run_sharded uses.
+/// Retry + watchdog policy for run_shard. Disabled by default
+/// (max_attempts == 1, no watchdog): every shard then gets one attempt,
+/// which is what run_sharded uses.
 struct RetryPolicy {
   std::size_t max_attempts = 1;  ///< total tries per shard (>= 1)
   double backoff_base_ms = 1.0;  ///< first retry delay before jitter
@@ -219,6 +215,25 @@ struct QuarantinedShard {
   std::string error;  ///< what() of the final failure (or "stall")
 };
 
+/// How one shard's attempt loop (run_shard) ended, with the successful
+/// attempt's metric registry and span buffer. A failed shard keeps both
+/// null; so does `spans` when not collecting.
+struct ShardRun {
+  std::size_t attempts = 0;
+  std::size_t stalls = 0;  ///< attempts abandoned by the watchdog
+  bool ok = false;
+  std::string error;  ///< what() of the final failure (or "stall", "torn")
+  /// The final failure's own exception; null after a stall or a torn
+  /// result, which have none.
+  std::exception_ptr exception;
+  std::unique_ptr<obs::Registry> metrics;
+  std::unique_ptr<obs::SpanCollector> spans;
+
+  /// Rethrow this shard's failure: its own exception, or for a stall or
+  /// torn result a std::runtime_error naming shard `index`.
+  [[noreturn]] void rethrow(std::size_t index) const;
+};
+
 /// Outcome summary of a resilient sharded run: which shards were
 /// quarantined (their result slots hold default-constructed values and
 /// their metric registries are dropped) and how much retrying happened.
@@ -229,6 +244,14 @@ struct DegradedReport {
 
   [[nodiscard]] bool degraded() const noexcept { return !quarantined.empty(); }
   [[nodiscard]] std::string to_string() const;
+
+  /// Account finished shard `index`: add its retries and stalls, and
+  /// quarantine it if it failed. The same counts go to the ops counters
+  /// par.shard_retry / par.shard_stall / par.shard_quarantine of the
+  /// calling thread's ambient registry; the "ops" catalog layer is
+  /// excluded from Registry::fingerprint(), so retries never perturb the
+  /// determinism canary.
+  void record(std::size_t index, const ShardRun& shard);
 };
 
 namespace detail {
@@ -253,39 +276,161 @@ class InjectedFault : public std::runtime_error {
 
 }  // namespace detail
 
+/// Run one shard's attempt loop (docs/FAULT_TOLERANCE.md): up to
+/// `policy.max_attempts` tries of `(*fn)(info)`, each under an optional
+/// wall-clock watchdog, with deterministic seeded backoff between tries
+/// and the failures `faults` (nullable) plans for `info.index`. Every
+/// attempt runs against *attempt-local* metric and span state (spans only
+/// when `collect_spans`) that is committed into `out`, with the job's
+/// value into `result`, only on success, so a failed or abandoned attempt
+/// leaves zero trace — a successful retry is bit-identical to a first-try
+/// success, and a failed shard leaves `result` as it was. Failures of the
+/// job and of this machinery alike end in `out` (ok == false), never as
+/// an exception.
+///
+/// The callable is shared so a watchdog-abandoned attempt thread can keep
+/// running it safely after this call returns. Anything the callable needs
+/// must be captured *by value* (cheap handles or shared_ptr ownership)
+/// when a watchdog is armed: an abandoned attempt can outlive not just
+/// this call but the caller's entire stack, so by-reference captures of
+/// locals are a use-after-scope waiting to happen. (The soak runner's
+/// repeat jobs capture a shared_ptr campaign context for exactly this
+/// reason.)
+template <class R, class Fn>
+void run_shard(ShardRun& out, R& result, const ShardInfo& info,
+               const std::shared_ptr<Fn>& fn, const RetryPolicy& policy,
+               const FaultPlan* faults, bool collect_spans) {
+  const std::size_t max_attempts =
+      std::max<std::size_t>(1, policy.max_attempts);
+  const double stall_seconds = faults != nullptr ? faults->stall_seconds : 0.0;
+
+  // Job exceptions are captured per attempt inside `body`; this outer
+  // try/catch additionally contains failures of the retry machinery
+  // itself (allocation of attempt state, error-string construction) by
+  // failing the shard — a bad_alloc here must not escape into
+  // ThreadPool::wait() and abort the very campaign this machinery exists
+  // to keep alive.
+  try {
+    for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
+      if (attempt > 0) {
+        detail::backoff_sleep(policy.backoff_ms(info.index, attempt));
+      }
+      out.attempts = attempt + 1;
+      const FaultKind fault = faults != nullptr
+                                  ? faults->at(info.index, attempt)
+                                  : FaultKind::kNone;
+
+      // Attempt-local state owned jointly with the attempt body, so an
+      // abandoned attempt finishes (or dies) against live memory.
+      struct Attempt {
+        std::unique_ptr<obs::Registry> metrics =
+            std::make_unique<obs::Registry>();
+        std::unique_ptr<obs::SpanCollector> spans;
+        R result{};
+        std::exception_ptr error;
+      };
+      auto att = std::make_shared<Attempt>();
+      if (collect_spans) {
+        att->spans = std::make_unique<obs::SpanCollector>();
+      }
+
+      auto body = [att, fn, info, fault, stall_seconds] {
+        const obs::Registry::ScopedCurrent scope(*att->metrics);
+        std::optional<obs::SpanCollector::ScopedCurrent> span_scope;
+        if (att->spans != nullptr) span_scope.emplace(*att->spans);
+        try {
+          R r = (*fn)(info);
+          switch (fault) {
+            case FaultKind::kThrow:
+              throw detail::InjectedFault("injected fault (shard " +
+                                          std::to_string(info.index) + ")");
+            case FaultKind::kStall:
+              std::this_thread::sleep_for(
+                  std::chrono::duration<double>(stall_seconds));
+              break;
+            case FaultKind::kTorn:
+              r = R{};
+              break;
+            case FaultKind::kNone:
+              break;
+          }
+          att->result = std::move(r);
+        } catch (...) {
+          att->error = std::current_exception();
+        }
+      };
+
+      bool finished = true;
+      if (policy.watchdog_seconds > 0.0) {
+        finished =
+            detail::run_attempt_with_watchdog(body, policy.watchdog_seconds);
+      } else {
+        body();
+      }
+
+      if (!finished) {
+        ++out.stalls;
+        out.error = "stall: watchdog expired after " +
+                    std::to_string(policy.watchdog_seconds) + "s";
+        out.exception = nullptr;
+        continue;
+      }
+      if (att->error != nullptr) {
+        out.exception = att->error;
+        try {
+          std::rethrow_exception(att->error);
+        } catch (const std::exception& e) {
+          out.error = e.what();
+        } catch (...) {
+          out.error = "unknown exception";
+        }
+        continue;
+      }
+      if (fault == FaultKind::kTorn) {
+        out.error = "torn result (injected)";
+        out.exception = nullptr;
+        continue;
+      }
+
+      // Success: commit this attempt's outputs. Failed attempts above
+      // never reach here, so their metric/span state is dropped whole.
+      result = std::move(att->result);
+      out.metrics = std::move(att->metrics);
+      out.spans = std::move(att->spans);
+      out.ok = true;
+      return;
+    }
+  } catch (const std::exception& e) {
+    out.ok = false;
+    out.exception = std::current_exception();
+    try {
+      out.error = e.what();
+    } catch (...) {
+      out.error.clear();
+    }
+  } catch (...) {
+    out.ok = false;
+    out.exception = std::current_exception();
+  }
+}
+
 /// Run `jobs` independent jobs — `fn(const ShardInfo&) -> R` — across at
-/// most `threads` workers and return results + shard registries WITHOUT
-/// merging. Callers that consume only a prefix of the jobs (e.g. the soak
-/// runner discarding over-run repeats past a frame budget) merge the
-/// shard registries they actually keep, in index order. threads <= 1 (or
-/// a single job) runs the shards in index order on the calling thread,
-/// still each under its own registry. R must be default-constructible
-/// and movable.
+/// most `threads` workers, each through run_shard, and return results +
+/// shard registries WITHOUT merging, so a caller can merge the shards it
+/// keeps in index order. threads <= 1 (or a single job) runs the shards
+/// in index order on the calling thread, still each under its own
+/// registry. R must be default-constructible and movable.
 ///
-/// Fault tolerance (docs/FAULT_TOLERANCE.md): each shard gets up to
-/// `policy.max_attempts` tries, each attempt under an optional wall-clock
-/// watchdog, with deterministic seeded backoff between tries. Every
-/// attempt runs against *attempt-local* metric and span state that is
-/// committed into the returned Sharded<R> only on success, so a failed
-/// or abandoned attempt leaves zero trace in the merged output — a
-/// successful retry is bit-identical to a first-try success. Shards that
-/// exhaust the budget are quarantined: their result slots keep
-/// default-constructed values, their registry slots stay null, and they
-/// are listed in `*degraded` (which is always assigned when non-null).
-/// When `degraded == nullptr`, the lowest-index quarantined shard's own
-/// exception is rethrown instead (a stall or torn result, which has
-/// none, throws std::runtime_error naming the shard), matching a serial
-/// loop that died at the first failing job.
-///
-/// `faults`, when non-null, injects the planned failures — the test
-/// harness for this machinery; fault injection and retry behave
-/// identically at any thread count.
-///
-/// Ops counters (par.shard_retry / par.shard_stall /
-/// par.shard_quarantine) are recorded on the *calling* thread's ambient
-/// registry after the pool drains; the "ops" catalog layer is excluded
-/// from Registry::fingerprint(), so retries never perturb the
-/// determinism canary.
+/// Shards that exhaust `policy`'s attempts are quarantined: their result
+/// slots keep default-constructed values, their registry slots stay null,
+/// and they are listed in `*degraded` (which is always assigned when
+/// non-null). When `degraded == nullptr`, the lowest-index quarantined
+/// shard's failure is rethrown instead (ShardRun::rethrow), matching a
+/// serial loop that died at the first failing job. `faults`, when
+/// non-null, injects the planned failures — the test harness for this
+/// machinery; fault injection and retry behave identically at any thread
+/// count. Every shard is recorded (DegradedReport::record) on the calling
+/// thread after the pool drains.
 template <class Fn>
 [[nodiscard]] auto run_sharded_resilient(std::size_t jobs,
                                          std::size_t threads,
@@ -299,189 +444,37 @@ template <class Fn>
   if (degraded != nullptr) *degraded = DegradedReport{};
   if (jobs == 0) return out;
 
-  out.metrics.resize(jobs);
   const bool collect_spans = obs::SpanCollector::current() != nullptr;
-  if (collect_spans) out.spans.resize(jobs);
-
-  // The callable is shared so a watchdog-abandoned attempt thread can
-  // keep running it safely after this frame returns control to the
-  // caller. Anything the callable needs must be captured *by value*
-  // (cheap handles or shared_ptr ownership) when a watchdog is armed:
-  // an abandoned attempt can outlive not just this frame but the
-  // caller's entire stack, so by-reference captures of locals are a
-  // use-after-scope waiting to happen. (The soak runner's wave jobs
-  // capture a shared_ptr campaign context for exactly this reason.)
-  auto shared_fn = std::make_shared<std::decay_t<Fn>>(std::forward<Fn>(fn));
-
-  struct ShardState {
-    std::size_t attempts = 0;
-    std::size_t stalls = 0;
-    bool ok = false;
-    std::string error;
-    /// The last failure's own exception; null after a stall or a torn
-    /// result, which have none.
-    std::exception_ptr exception;
-  };
-  std::vector<ShardState> states(jobs);
-
-  const std::size_t max_attempts = std::max<std::size_t>(1, policy.max_attempts);
-  const double stall_seconds = faults != nullptr ? faults->stall_seconds : 0.0;
-
-  // Runs one shard's full attempt loop. Job exceptions are captured per
-  // attempt inside `body`; this outer try/catch additionally contains
-  // failures of the retry machinery itself (allocation of attempt
-  // state, error-string construction) by quarantining the shard — a
-  // bad_alloc here must not escape into ThreadPool::wait() and abort
-  // the very campaign this machinery exists to keep alive.
-  auto run_shard = [&out, &states, &policy, faults, shared_fn, jobs,
-                    max_attempts, stall_seconds,
-                    collect_spans](std::size_t i) {
-    ShardState& st = states[i];
-    try {
-      for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
-        if (attempt > 0) {
-          detail::backoff_sleep(policy.backoff_ms(i, attempt));
-        }
-        st.attempts = attempt + 1;
-        const FaultKind fault =
-            faults != nullptr ? faults->at(i, attempt) : FaultKind::kNone;
-
-        // Attempt-local state owned jointly with the attempt body, so an
-        // abandoned attempt finishes (or dies) against live memory.
-        struct Attempt {
-          std::unique_ptr<obs::Registry> metrics =
-              std::make_unique<obs::Registry>();
-          std::unique_ptr<obs::SpanCollector> spans;
-          R result{};
-          std::exception_ptr error;
-        };
-        auto att = std::make_shared<Attempt>();
-        if (collect_spans) {
-          att->spans = std::make_unique<obs::SpanCollector>();
-        }
-
-        auto body = [att, shared_fn, i, jobs, fault, stall_seconds] {
-          const obs::Registry::ScopedCurrent scope(*att->metrics);
-          std::optional<obs::SpanCollector::ScopedCurrent> span_scope;
-          if (att->spans != nullptr) span_scope.emplace(*att->spans);
-          try {
-            R r = (*shared_fn)(ShardInfo{i, jobs});
-            switch (fault) {
-              case FaultKind::kThrow:
-                throw detail::InjectedFault("injected fault (shard " +
-                                            std::to_string(i) + ")");
-              case FaultKind::kStall:
-                std::this_thread::sleep_for(
-                    std::chrono::duration<double>(stall_seconds));
-                break;
-              case FaultKind::kTorn:
-                r = R{};
-                break;
-              case FaultKind::kNone:
-                break;
-            }
-            att->result = std::move(r);
-          } catch (...) {
-            att->error = std::current_exception();
-          }
-        };
-
-        bool finished = true;
-        if (policy.watchdog_seconds > 0.0) {
-          finished = detail::run_attempt_with_watchdog(
-              body, policy.watchdog_seconds);
-        } else {
-          body();
-        }
-
-        if (!finished) {
-          ++st.stalls;
-          st.error = "stall: watchdog expired after " +
-                     std::to_string(policy.watchdog_seconds) + "s";
-          st.exception = nullptr;
-          continue;
-        }
-        if (att->error != nullptr) {
-          st.exception = att->error;
-          try {
-            std::rethrow_exception(att->error);
-          } catch (const std::exception& e) {
-            st.error = e.what();
-          } catch (...) {
-            st.error = "unknown exception";
-          }
-          continue;
-        }
-        if (fault == FaultKind::kTorn) {
-          st.error = "torn result (injected)";
-          st.exception = nullptr;
-          continue;
-        }
-
-        // Success: commit this attempt's outputs. Failed attempts above
-        // never reach here, so their metric/span state is dropped whole.
-        out.results[i] = std::move(att->result);
-        out.metrics[i] = std::move(att->metrics);
-        if (collect_spans) out.spans[i] = std::move(att->spans);
-        st.ok = true;
-        return;
-      }
-    } catch (const std::exception& e) {
-      st.ok = false;
-      st.exception = std::current_exception();
-      try {
-        st.error = e.what();
-      } catch (...) {
-        st.error.clear();
-      }
-    } catch (...) {
-      st.ok = false;
-      st.exception = std::current_exception();
-    }
+  const auto shared_fn =
+      std::make_shared<std::decay_t<Fn>>(std::forward<Fn>(fn));
+  std::vector<ShardRun> runs(jobs);
+  const auto run = [&](std::size_t i) {
+    run_shard(runs[i], out.results[i], ShardInfo{i, jobs}, shared_fn, policy,
+              faults, collect_spans);
   };
 
   const std::size_t workers = std::min(threads == 0 ? 1 : threads, jobs);
   if (workers <= 1) {
-    for (std::size_t i = 0; i < jobs; ++i) run_shard(i);
+    for (std::size_t i = 0; i < jobs; ++i) run(i);
   } else {
     ThreadPool pool(workers);
     for (std::size_t i = 0; i < jobs; ++i) {
-      pool.submit([&run_shard, i] { run_shard(i); });
+      pool.submit([&run, i] { run(i); });
     }
     pool.wait();
   }
 
   DegradedReport report;
+  out.metrics.resize(jobs);
+  if (collect_spans) out.spans.resize(jobs);
   for (std::size_t i = 0; i < jobs; ++i) {
-    const ShardState& st = states[i];
-    if (st.attempts > 1) report.retries += st.attempts - 1;
-    report.stalls += st.stalls;
-    if (!st.ok) report.quarantined.push_back({i, st.attempts, st.error});
+    report.record(i, runs[i]);
+    out.metrics[i] = std::move(runs[i].metrics);
+    if (collect_spans) out.spans[i] = std::move(runs[i].spans);
   }
-
-  // Ops bookkeeping on the calling thread; the "ops" layer is excluded
-  // from Registry::fingerprint() so this never perturbs determinism
-  // comparisons between faulted and fault-free runs.
-  obs::Registry& ambient = obs::Registry::current();
-  if (report.retries > 0) {
-    ambient.counter("par.shard_retry").add(report.retries);
-  }
-  if (report.stalls > 0) {
-    ambient.counter("par.shard_stall").add(report.stalls);
-  }
-  if (!report.quarantined.empty()) {
-    ambient.counter("par.shard_quarantine").add(report.quarantined.size());
-  }
-
   if (report.degraded() && degraded == nullptr) {
-    const QuarantinedShard& first = report.quarantined.front();
-    if (states[first.index].exception != nullptr) {
-      std::rethrow_exception(states[first.index].exception);
-    }
-    throw std::runtime_error("shard " + std::to_string(first.index) +
-                             " failed after " +
-                             std::to_string(first.attempts) +
-                             " attempts: " + first.error);
+    const std::size_t first = report.quarantined.front().index;
+    runs[first].rethrow(first);
   }
   if (degraded != nullptr) *degraded = std::move(report);
   return out;

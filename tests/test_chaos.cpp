@@ -855,8 +855,8 @@ TEST(MultiBssSoak, CampaignIsDeterministic) {
 }
 
 TEST(MultiBssSoak, BitIdenticalAcrossThreadCounts) {
-  // Budget campaign spanning several timeline repeats: the parallel wave
-  // scheduler must reproduce the serial multi-domain campaign bit for
+  // Budget campaign spanning several timeline repeats: the parallel
+  // repeat stream must reproduce the serial multi-domain campaign bit for
   // bit — report and metric fingerprint — at 1/2/4/8 threads.
   SoakOptions serial_opts;
   serial_opts.threads = 1;

@@ -290,6 +290,32 @@ TEST(Resume, InterruptedCampaignReproducesUninterruptedRun) {
   }
 }
 
+TEST(Resume, CheckpointCadenceIndependentOfThreads) {
+  // checkpoint_every counts consumed repeats at any thread count: with a
+  // flush after every repeat, a kill loses at most the repeat in flight.
+  // Every repeat but the stopping one flushes, plus the final flush.
+  SoakOptions opts;
+  std::uint64_t ignored = 0;
+  opts.max_frames =
+      run_scoped(ckpt_scenario(), opts, ignored).frames_judged * 5;
+  opts.checkpoint_every = 1;
+  std::size_t want_repeats = 0;
+  for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
+    opts.threads = threads;
+    opts.checkpoint_dir =
+        fresh_dir("ckpt_cadence_t" + std::to_string(threads)).string();
+    obs::Registry scope;
+    const obs::Registry::ScopedCurrent current(scope);
+    const SoakReport report = SoakRunner(opts).run(ckpt_scenario());
+    ASSERT_TRUE(report.ok());
+    if (threads == 1) want_repeats = report.repeats;
+    EXPECT_EQ(report.repeats, want_repeats) << "threads=" << threads;
+    EXPECT_EQ(scope.counter_value("chaos.checkpoint_write"), want_repeats)
+        << "threads=" << threads;
+  }
+  EXPECT_GE(want_repeats, 4u);
+}
+
 TEST(Resume, CompletedCampaignResumesToIdenticalState) {
   // Resuming a campaign that already met its budget replays only the
   // finalization — same report, same fingerprint, no extra repeats.

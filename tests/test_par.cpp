@@ -356,13 +356,6 @@ TEST(Retry, FaultPlanAddressesShardAttemptPairs) {
   EXPECT_EQ(plan.at(3, 1), par::FaultKind::kTorn);
   EXPECT_EQ(plan.at(3, 2), par::FaultKind::kNone);
   EXPECT_EQ(plan.at(0, 0), par::FaultKind::kNone);
-
-  // window() re-bases campaign-repeat addresses onto wave-local shards.
-  const par::FaultPlan w = plan.window(2, 4);  // repeats [2, 6)
-  EXPECT_EQ(w.at(1, 0), par::FaultKind::kThrow);  // repeat 3 -> shard 1
-  EXPECT_EQ(w.at(3, 0), par::FaultKind::kNone);
-  const par::FaultPlan outside = plan.window(4, 4);  // repeats [4, 8)
-  EXPECT_TRUE(outside.entries.empty());
 }
 
 TEST(Retry, SeededFaultPlanIsDeterministic) {
@@ -577,6 +570,28 @@ void expect_reports_identical(const SoakReport& a, const SoakReport& b,
               b.episode_summaries[i].frames_judged)
         << label;
   }
+  ASSERT_EQ(a.degraded.quarantined.size(), b.degraded.quarantined.size())
+      << label;
+  for (std::size_t i = 0; i < a.degraded.quarantined.size(); ++i) {
+    EXPECT_EQ(a.degraded.quarantined[i].index,
+              b.degraded.quarantined[i].index)
+        << label;
+    EXPECT_EQ(a.degraded.quarantined[i].attempts,
+              b.degraded.quarantined[i].attempts)
+        << label;
+    EXPECT_EQ(a.degraded.quarantined[i].error,
+              b.degraded.quarantined[i].error)
+        << label;
+  }
+  EXPECT_EQ(a.degraded.retries, b.degraded.retries) << label;
+  EXPECT_EQ(a.degraded.stalls, b.degraded.stalls) << label;
+}
+
+/// `report` without its fault-tolerance summary: what the fault-free
+/// campaign reports when every retry succeeded.
+SoakReport outputs_only(SoakReport report) {
+  report.degraded = {};
+  return report;
 }
 
 TEST(SoakRunnerParallel, BudgetCampaignBitIdenticalAcrossThreadCounts) {
@@ -672,7 +687,7 @@ TEST(SoakRunnerRetry, TransientFaultsFingerprintIdenticalAcrossThreads) {
     opts.fault_plan = plan;
     std::uint64_t fp = 0;
     const SoakReport got = run_scoped(budget_scenario(), opts, fp);
-    expect_reports_identical(want, got,
+    expect_reports_identical(want, outputs_only(got),
                              "faulty threads=" + std::to_string(threads));
     EXPECT_EQ(fp, want_fp) << "threads=" << threads;
     EXPECT_EQ(got.degraded.retries, 2u) << "threads=" << threads;
@@ -714,9 +729,37 @@ TEST(SoakRunnerRetry, ExhaustedRepeatQuarantinedCampaignSurvives) {
   }
 }
 
+TEST(SoakRunnerRetry, FaultPastTheStopLeavesNoTrace) {
+  // The budget stops the campaign inside repeat 1, so the fault planned
+  // for repeat 3 hits a repeat that is never consumed: at no thread count
+  // may it degrade the report, and the clean campaign still checkpoints.
+  std::uint64_t ignored = 0;
+  const SoakReport once = run_scoped(budget_scenario(), {}, ignored);
+
+  SoakOptions opts;
+  opts.max_frames = once.frames_judged + once.frames_judged / 2;
+  opts.fault_plan = par::FaultPlan{};
+  opts.fault_plan->entries.push_back({3, 0, par::FaultKind::kThrow});
+  opts.checkpoint_dir = ::testing::TempDir() + "/par_fault_past_stop";
+  opts.threads = 1;
+  std::uint64_t want_fp = 0;
+  const SoakReport want = run_scoped(budget_scenario(), opts, want_fp);
+  ASSERT_EQ(want.repeats, 2u);
+  ASSERT_FALSE(want.degraded.degraded());
+
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    opts.threads = threads;
+    std::uint64_t fp = 0;
+    const SoakReport got = run_scoped(budget_scenario(), opts, fp);
+    expect_reports_identical(want, got, "threads=" + std::to_string(threads));
+    EXPECT_EQ(fp, want_fp) << "threads=" << threads;
+    EXPECT_FALSE(got.checkpoint_path.empty()) << "threads=" << threads;
+  }
+}
+
 TEST(SoakRunnerRetry, SinglePassCampaignRetries) {
-  // A single-pass campaign (max_frames == 0) is a wave of one repeat, so
-  // it retries a faulted repeat like any other campaign does.
+  // A single-pass campaign (max_frames == 0) is a stream of one repeat,
+  // so it retries a faulted repeat like any other campaign does.
   std::uint64_t want_fp = 0;
   const SoakReport want = run_scoped(budget_scenario(), {}, want_fp);
   ASSERT_EQ(want.repeats, 1u);
@@ -731,7 +774,7 @@ TEST(SoakRunnerRetry, SinglePassCampaignRetries) {
     opts.fault_plan = plan;
     std::uint64_t fp = 0;
     const SoakReport got = run_scoped(budget_scenario(), opts, fp);
-    expect_reports_identical(want, got,
+    expect_reports_identical(want, outputs_only(got),
                              "single-pass threads=" + std::to_string(threads));
     EXPECT_EQ(fp, want_fp) << "threads=" << threads;
     EXPECT_EQ(got.degraded.retries, 1u) << "threads=" << threads;
@@ -750,6 +793,83 @@ TEST(SoakRunnerParallel, SinglePassCampaignIgnoresThreads) {
   const SoakReport b = run_scoped(budget_scenario(), opts, fp_serial);
   expect_reports_identical(a, b, "single-pass");
   EXPECT_EQ(fp_parallel, fp_serial);
+}
+
+// ------------------------------------------- SoakRunner repeat stream
+
+/// Run `s` under `opts` at 1 thread, then at 2, 3, 5 and 8 threads
+/// (counts that do not divide the repeat count), requiring the report and
+/// metrics fingerprint of each to match the serial run. Returns the
+/// serial report.
+SoakReport expect_stream_matches_serial(const Scenario& s, SoakOptions opts) {
+  opts.threads = 1;
+  std::uint64_t serial_fp = 0;
+  const SoakReport serial = run_scoped(s, opts, serial_fp);
+  for (const std::size_t threads : {2u, 3u, 5u, 8u}) {
+    opts.threads = threads;
+    std::uint64_t fp = 0;
+    const SoakReport got = run_scoped(s, opts, fp);
+    expect_reports_identical(serial, got,
+                             "threads=" + std::to_string(threads));
+    EXPECT_EQ(fp, serial_fp) << "threads=" << threads;
+  }
+  return serial;
+}
+
+/// Judgements in one single-pass run of budget_scenario().
+std::uint64_t one_pass_frames() {
+  std::uint64_t ignored = 0;
+  return run_scoped(budget_scenario(), {}, ignored).frames_judged;
+}
+
+TEST(SoakRunnerStream, BudgetStopInsideADetachedRepeat) {
+  // Beyond the first, every repeat of a parallel campaign runs detached;
+  // the budget stops this one midway through a later repeat, which the
+  // caller re-runs live.
+  const std::uint64_t once = one_pass_frames();
+  SoakOptions opts;
+  opts.max_frames = once * 5 + once / 2;
+  const SoakReport serial =
+      expect_stream_matches_serial(budget_scenario(), opts);
+  EXPECT_TRUE(serial.ok());
+  EXPECT_GE(serial.repeats, 4u);
+  EXPECT_GE(serial.frames_judged, opts.max_frames);
+}
+
+TEST(SoakRunnerStream, StopInTheFirstRepeat) {
+  // The live first repeat stops the campaign; every detached repeat
+  // already in flight is cancelled unconsumed.
+  SoakOptions opts;
+  opts.max_frames = one_pass_frames() / 2;
+  const SoakReport serial =
+      expect_stream_matches_serial(budget_scenario(), opts);
+  EXPECT_TRUE(serial.ok());
+  EXPECT_EQ(serial.repeats, 1u);
+  EXPECT_GE(serial.frames_judged, opts.max_frames);
+}
+
+TEST(SoakRunnerStream, RepeatCapEndsTheCampaign) {
+  SoakOptions opts;
+  opts.max_frames = one_pass_frames() * 1000;
+  opts.max_repeats = 7;
+  const SoakReport serial =
+      expect_stream_matches_serial(budget_scenario(), opts);
+  EXPECT_TRUE(serial.ok());
+  EXPECT_EQ(serial.repeats, 7u);
+  EXPECT_LT(serial.frames_judged, opts.max_frames);
+}
+
+TEST(SoakRunnerStream, InjectedViolationInALaterRepeat) {
+  const std::uint64_t once = one_pass_frames();
+  Scenario s = budget_scenario();
+  s.inject = chaos::InjectedViolation{once * 3 + 11};
+  SoakOptions opts;
+  opts.max_frames = once * 8;
+  const SoakReport serial = expect_stream_matches_serial(s, opts);
+  ASSERT_FALSE(serial.ok());
+  EXPECT_EQ(serial.violations.front().invariant, "injected");
+  EXPECT_EQ(serial.violations.front().frame, s.inject->frame);
+  EXPECT_GE(serial.violations.front().repeat, 2u);
 }
 
 }  // namespace
