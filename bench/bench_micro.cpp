@@ -6,9 +6,9 @@
 // The kernel-throughput section at the end times the dsp:: backends
 // (docs/KERNELS.md) head to head and exports micro.*.symbols_per_sec
 // gauges per backend plus micro.*.simd_speedup ratios; the ratios gate
-// in CI via bench_diff, and this binary itself exits nonzero when the
-// SIMD tier fails a conservative 2x floor on at least two of the three
-// PHY kernels.
+// in CI via bench_diff, and this binary itself exits nonzero unless the
+// SIMD tier clears a conservative 2x floor on both PHY kernels (FFT and
+// Viterbi).
 
 #include <benchmark/benchmark.h>
 
@@ -209,10 +209,8 @@ double measure_rate(Op&& op, double items) {
 }
 
 struct KernelRates {
-  double fft64 = 0.0;     ///< 64-point transforms / sec
-  double viterbi = 0.0;   ///< trellis steps / sec
-  double equalize = 0.0;  ///< 48-subcarrier symbols / sec
-  double ahdr = 0.0;      ///< keyed-hash finalizations / sec
+  double fft64 = 0.0;    ///< 64-point transforms / sec
+  double viterbi = 0.0;  ///< trellis steps / sec
 };
 
 KernelRates measure_backend(const dsp::KernelBackend& backend) {
@@ -251,34 +249,6 @@ KernelRates measure_backend(const dsp::KernelBackend& backend) {
         benchmark::DoNotOptimize(sel.data());
       },
       static_cast<double>(kSteps));
-
-  constexpr std::size_t kBins = kNumDataSubcarriers;  // 48
-  constexpr std::size_t kSymbols = 64;  // amortize the sub-us symbol cost
-  CxVec bins(kBins), h(kBins), data(kBins);
-  std::vector<double> gains(kBins);
-  for (Cx& x : bins) x = Cx{rng.gaussian(), rng.gaussian()};
-  for (Cx& x : h) x = Cx{rng.gaussian(), rng.gaussian()};
-  const Cx derotate = cx_exp(-0.21);
-  out.equalize = measure_rate(
-      [&] {
-        for (std::size_t s = 0; s < kSymbols; ++s) {
-          backend.equalize(bins.data(), h.data(), kBins, derotate,
-                           data.data(), gains.data());
-        }
-        benchmark::DoNotOptimize(data.data());
-      },
-      static_cast<double>(kSymbols));
-
-  constexpr std::size_t kHashes = 48;
-  std::vector<std::uint64_t> keys(kHashes), hashes(kHashes);
-  for (std::size_t i = 0; i < kHashes; ++i) keys[i] = 0x12340000ULL + i;
-  out.ahdr = measure_rate(
-      [&] {
-        backend.ahdr_mix(0x9a3bc1d204857efULL, keys.data(), kHashes,
-                         hashes.data());
-        benchmark::DoNotOptimize(hashes.data());
-      },
-      static_cast<double>(kHashes));
   return out;
 }
 
@@ -292,36 +262,27 @@ int kernel_throughput_report() {
   const KernelRates scalar = measure_backend(dsp::scalar_backend());
   bench::gauge("micro.fft64.symbols_per_sec.scalar", scalar.fft64);
   bench::gauge("micro.viterbi.symbols_per_sec.scalar", scalar.viterbi);
-  bench::gauge("micro.equalize.symbols_per_sec.scalar", scalar.equalize);
-  bench::gauge("micro.ahdr.symbols_per_sec.scalar", scalar.ahdr);
 
   const dsp::KernelBackend* simd = dsp::simd_backend();
   if (simd == nullptr) {
     std::printf("no SIMD tier on this CPU; scalar rates only\n");
     std::printf("  fft64    %12.0f symbols/s\n", scalar.fft64);
     std::printf("  viterbi  %12.0f steps/s\n", scalar.viterbi);
-    std::printf("  equalize %12.0f symbols/s\n", scalar.equalize);
-    std::printf("  ahdr     %12.0f hashes/s\n", scalar.ahdr);
     return 0;
   }
 
   const KernelRates best = measure_backend(*simd);
   bench::gauge("micro.fft64.symbols_per_sec.simd", best.fft64);
   bench::gauge("micro.viterbi.symbols_per_sec.simd", best.viterbi);
-  bench::gauge("micro.equalize.symbols_per_sec.simd", best.equalize);
-  bench::gauge("micro.ahdr.symbols_per_sec.simd", best.ahdr);
 
   struct Row {
     const char* name;
     double scalar_rate;
     double simd_rate;
-    bool gated;  ///< counts toward the 2-of-3 PHY-kernel floor
   };
   const Row rows[] = {
-      {"micro.fft64", scalar.fft64, best.fft64, true},
-      {"micro.viterbi", scalar.viterbi, best.viterbi, true},
-      {"micro.equalize", scalar.equalize, best.equalize, true},
-      {"micro.ahdr", scalar.ahdr, best.ahdr, false},
+      {"micro.fft64", scalar.fft64, best.fft64},
+      {"micro.viterbi", scalar.viterbi, best.viterbi},
   };
   std::printf("kernel          scalar (items/s)    %s (items/s)   speedup\n",
               simd->name);
@@ -337,12 +298,12 @@ int kernel_throughput_report() {
                  speedup);
     std::printf("%-14s %17.0f %17.0f %8.2fx\n", row.name, row.scalar_rate,
                 row.simd_rate, speedup);
-    if (row.gated && speedup >= 2.0) ++fast_enough;
+    if (speedup >= 2.0) ++fast_enough;
   }
   if (fast_enough < 2) {
     std::fprintf(stderr,
                  "bench_micro: SIMD tier %s beat the scalar reference 2x on "
-                 "only %d of 3 PHY kernels (want >= 2) — kernel dispatch is "
+                 "only %d of 2 PHY kernels (want both) — kernel dispatch is "
                  "not paying for itself\n",
                  simd->name, fast_enough);
     return 1;

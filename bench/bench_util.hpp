@@ -82,20 +82,9 @@ inline void gauge(const std::string& name, double value) {
 /// tier this CPU cannot run is a usage error (exit 2), never a silent
 /// fallback. On success the selection applies process-wide.
 inline void apply_kernel_flag(const char* prog, const char* text) {
-  switch (dsp::select_kernel(text == nullptr ? "" : text)) {
-    case dsp::KernelSelect::kOk:
-      return;
-    case dsp::KernelSelect::kUnavailable:
-      std::fprintf(stderr, "%s: --kernel %s is not supported on this CPU (%s)\n",
-                   prog, text, dsp::kernel_info().c_str());
-      std::exit(2);
-    case dsp::KernelSelect::kUnknown:
-      break;
-  }
-  std::fprintf(stderr,
-               "%s: --kernel wants auto|scalar|simd|sse2|avx2|avx512, got "
-               "\"%s\"\n",
-               prog, text == nullptr ? "" : text);
+  const std::string error = dsp::select_kernel_flag(text);
+  if (error.empty()) return;
+  std::fprintf(stderr, "%s: %s\n", prog, error.c_str());
   std::exit(2);
 }
 

@@ -210,22 +210,11 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--kernel") == 0) {
       // Strict like --threads env hardening: a bad name is a usage
       // error, not a silent fallback (docs/KERNELS.md).
-      const char* val = i + 1 < argc ? argv[++i] : "";
-      switch (carpool::dsp::select_kernel(val)) {
-        case carpool::dsp::KernelSelect::kOk:
-          break;
-        case carpool::dsp::KernelSelect::kUnavailable:
-          std::fprintf(stderr,
-                       "parameter_sweep: --kernel %s is not supported on "
-                       "this CPU (%s)\n",
-                       val, carpool::dsp::kernel_info().c_str());
-          return 2;
-        case carpool::dsp::KernelSelect::kUnknown:
-          std::fprintf(stderr,
-                       "parameter_sweep: --kernel wants "
-                       "auto|scalar|simd|sse2|avx2|avx512, got \"%s\"\n",
-                       val);
-          return 2;
+      const std::string error =
+          carpool::dsp::select_kernel_flag(i + 1 < argc ? argv[++i] : "");
+      if (!error.empty()) {
+        std::fprintf(stderr, "parameter_sweep: %s\n", error.c_str());
+        return 2;
       }
     } else {
       path = argv[i];

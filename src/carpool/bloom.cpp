@@ -1,11 +1,10 @@
 #include "carpool/bloom.hpp"
 
-#include <array>
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 #include "common/hash.hpp"
-#include "dsp/kernels.hpp"
 #include "obs/timer.hpp"
 
 namespace carpool {
@@ -49,19 +48,8 @@ void AggregationBloomFilter::insert(const MacAddress& receiver,
     throw std::invalid_argument("insert: subframe index out of range");
   }
   OBS_TIMED_SPAN("carpool.ahdr_encode");
-  // Batched form of position(): hash the MAC once, then finalize all
-  // num_hashes_ keys in one kernel sweep — hashes[j] is exactly
-  // keyed_hash(octets, key_j), so insert and matches stay consistent.
-  const std::uint64_t base = fnv1a64(receiver.octets());
-  std::array<std::uint64_t, kAhdrBits> keys;
-  std::array<std::uint64_t, kAhdrBits> hashes;
   for (std::size_t j = 0; j < num_hashes_; ++j) {
-    keys[j] = (static_cast<std::uint64_t>(subframe_index) << 16) | j;
-  }
-  dsp::active_backend().ahdr_mix(base, keys.data(), num_hashes_,
-                                 hashes.data());
-  for (std::size_t j = 0; j < num_hashes_; ++j) {
-    filter_ |= std::uint64_t{1} << (hashes[j] % kAhdrBits);
+    filter_ |= std::uint64_t{1} << position(receiver, subframe_index, j);
   }
 }
 

@@ -1,7 +1,7 @@
 #include "chaos/checkpoint.hpp"
 
+#include <bit>
 #include <cerrno>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <system_error>
@@ -11,33 +11,12 @@
 #include <unistd.h>
 #endif
 
+#include "common/hash.hpp"
 #include "common/json.hpp"
 #include "obs/span.hpp"
 
 namespace carpool::chaos {
 namespace {
-
-std::uint64_t fnv1a(std::string_view s) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : s) {
-    h = (h ^ static_cast<std::uint8_t>(c)) * 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::uint64_t mix_u64(std::uint64_t h, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ static_cast<std::uint8_t>(v >> (8 * i))) * 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::uint64_t mix_double(std::uint64_t h, double v) noexcept {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  return mix_u64(h, bits);
-}
 
 // ------------------------------------------------------- field readers
 // All return false (and fill `err` with a dotted path) on shape errors,
@@ -88,19 +67,22 @@ JsonValue episode_to_value(const EpisodeSummary& e) {
 }  // namespace
 
 std::uint64_t scenario_digest(const Scenario& s) {
-  return fnv1a(scenario_to_json(s));
+  return fnv1a64(scenario_to_json(s));
 }
 
 std::uint64_t soak_options_digest(const SoakOptions& opts) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  h = mix_u64(h, opts.max_frames);
-  h = mix_u64(h, opts.check_cliffs ? 1 : 0);
-  h = mix_u64(h, opts.check_fairness ? 1 : 0);
-  h = mix_double(h, opts.fairness.jain_floor);
-  h = mix_double(h, opts.fairness.min_share_floor);
-  h = mix_u64(h, opts.fairness.min_frames);
-  h = mix_u64(h, opts.check_energy ? 1 : 0);
-  h = mix_double(h, opts.rte_norm_bound);
+  const auto mix_double = [](double v, std::uint64_t h) {
+    return fnv1a64_u64(std::bit_cast<std::uint64_t>(v), h);
+  };
+  std::uint64_t h = kFnv1aBasis;
+  h = fnv1a64_u64(opts.max_frames, h);
+  h = fnv1a64_u64(opts.check_cliffs ? 1 : 0, h);
+  h = fnv1a64_u64(opts.check_fairness ? 1 : 0, h);
+  h = mix_double(opts.fairness.jain_floor, h);
+  h = mix_double(opts.fairness.min_share_floor, h);
+  h = fnv1a64_u64(opts.fairness.min_frames, h);
+  h = fnv1a64_u64(opts.check_energy ? 1 : 0, h);
+  h = mix_double(opts.rte_norm_bound, h);
   return h;
 }
 

@@ -12,27 +12,13 @@
 
 #include "chaos/checkpoint.hpp"
 #include "chaos/shrink.hpp"
+#include "common/hash.hpp"
 #include "common/json.hpp"
 #include "par/par.hpp"
 #include "sim/testbed.hpp"
 
 namespace carpool::chaos {
 namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void fnv_bytes(std::uint64_t& h, std::string_view bytes) noexcept {
-  for (const char c : bytes) {
-    h = (h ^ static_cast<unsigned char>(c)) * kFnvPrime;
-  }
-}
-
-void fnv_u64(std::uint64_t& h, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ ((v >> (8 * i)) & 0xffU)) * kFnvPrime;
-  }
-}
 
 // ---------------------------------------------------------- mutation ops
 //
@@ -265,14 +251,14 @@ constexpr std::size_t kNumOps = std::size(kOps);
 
 std::uint64_t coverage_signature(const obs::Registry& reg) {
   const obs::MetricsSnapshot snap = reg.snapshot();
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = kFnv1aBasis;
   // Counters only: gauges can carry wall-clock-adjacent values and
   // histograms are explicitly nondeterministic; counters are the
   // deterministic event surface (the same one fingerprint() digests).
   for (const auto& row : snap.counters) {
     if (row.value == 0) continue;
-    fnv_bytes(h, row.name);
-    fnv_u64(h, static_cast<std::uint64_t>(std::bit_width(row.value)));
+    h = fnv1a64(row.name, h);
+    h = fnv1a64_u64(static_cast<std::uint64_t>(std::bit_width(row.value)), h);
   }
   return h;
 }
@@ -299,11 +285,11 @@ Mutation ScenarioMutator::mutate(const Scenario& base, Rng& rng) const {
 }
 
 std::uint64_t FuzzReport::corpus_digest() const {
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = kFnv1aBasis;
   for (const CorpusEntry& e : corpus) {
-    fnv_bytes(h, scenario_to_json(e.scenario));
-    fnv_u64(h, e.signature);
-    fnv_u64(h, std::bit_cast<std::uint64_t>(e.min_margin));
+    h = fnv1a64(scenario_to_json(e.scenario), h);
+    h = fnv1a64_u64(e.signature, h);
+    h = fnv1a64_u64(std::bit_cast<std::uint64_t>(e.min_margin), h);
   }
   return h;
 }

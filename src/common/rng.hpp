@@ -9,16 +9,15 @@
 #include <cstdint>
 #include <limits>
 
+#include "common/hash.hpp"
+
 namespace carpool {
 
 /// SplitMix64: used for seeding and stream-splitting. Passes BigCrush when
 /// used as a generator on its own; here it mainly whitens user seeds.
 constexpr std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   state += 0x9e3779b97f4a7c15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  return mix64(state);
 }
 
 /// One seed per (seed, index, salt) triple: XOR-fold the coordinates with

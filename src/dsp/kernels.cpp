@@ -251,6 +251,21 @@ KernelSelect select_kernel(std::string_view name) noexcept {
   return KernelSelect::kUnknown;
 }
 
+std::string select_kernel_flag(const char* name) {
+  const std::string value = name == nullptr ? "" : name;
+  switch (select_kernel(value)) {
+    case KernelSelect::kOk:
+      return "";
+    case KernelSelect::kUnavailable:
+      return "--kernel " + value + " is not supported on this CPU (" +
+             kernel_info() + ")";
+    case KernelSelect::kUnknown:
+      break;
+  }
+  return "--kernel wants auto|scalar|simd|sse2|avx2|avx512, got \"" +
+         value + "\"";
+}
+
 ScopedKernel::ScopedKernel(const KernelBackend& backend) noexcept
     : previous_(g_selected.load(std::memory_order_acquire)) {
   g_selected.store(&backend, std::memory_order_release);
@@ -281,6 +296,14 @@ Cx div_smith(Cx num, Cx den) noexcept {
   double x = 0.0, y = 0.0;
   detail::smith_div(num.real(), num.imag(), den.real(), den.imag(), x, y);
   return Cx{x, y};
+}
+
+void equalize(const Cx* bins, const Cx* h, std::size_t n, Cx derotate,
+              Cx* data_out, double* gains_out) noexcept {
+  for (std::size_t i = 0; i < n; ++i) {
+    detail::equalize_one(bins[i], h[i], derotate, data_out[i],
+                         gains_out[i]);
+  }
 }
 
 PilotEstimate pilot_estimate(const Cx* bins, const Cx* h,

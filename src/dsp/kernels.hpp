@@ -2,13 +2,14 @@
 
 // Runtime-dispatched PHY/FEC compute kernels (docs/KERNELS.md).
 //
-// The receiver spends nearly all of its cycles in three scalar leaves —
-// the radix-2 FFT, the soft Viterbi add-compare-select, and the
-// per-subcarrier equalizer — plus the A-HDR Bloom hash on the transmit
-// side. This module puts those leaves behind a `KernelBackend` table with
-// a portable scalar reference implementation and SIMD tiers (SSE2 / AVX2 /
-// AVX-512, built from one width-generic source), selected at runtime by
-// CPU feature detection and overridable via CARPOOL_KERNEL / --kernel.
+// The receiver spends most of its cycles in two scalar leaves: the
+// radix-2 FFT and the soft Viterbi add-compare-select. This module puts
+// those leaves behind a `KernelBackend` table with a portable scalar
+// reference implementation and SIMD tiers (SSE2 / AVX2 / AVX-512, built
+// from one width-generic source), selected at runtime by CPU feature
+// detection and overridable via CARPOOL_KERNEL / --kernel. The
+// per-subcarrier equalizer (dsp::equalize) is one plain loop: a SIMD
+// form of it bought about 1% end to end, which is not worth a slot.
 //
 // Bit-identity contract: every backend produces *bit-identical* outputs
 // for the same inputs. The kernels are written so each output element is
@@ -86,20 +87,6 @@ struct KernelBackend {
   /// final_metric receives the 64 path metrics after the last step.
   void (*viterbi_forward)(const double* soft, std::size_t steps,
                           std::uint64_t* sel, double* final_metric);
-
-  /// Per-subcarrier equalization of n gathered bins: for each i,
-  /// data_out[i] = (bins[i] / h[i]) * derotate and gains_out[i] =
-  /// |h[i]|^2, with h[i] == 0 treated as an erased subcarrier
-  /// (data_out 0, gains_out 0). Division follows Smith's algorithm (see
-  /// div_smith) so SIMD lanes and the scalar loop round identically.
-  void (*equalize)(const Cx* bins, const Cx* h, std::size_t n, Cx derotate,
-                   Cx* data_out, double* gains_out);
-
-  /// Batched keyed-hash finalizer for the A-HDR Bloom filter:
-  /// hashes[i] = mix64(base ^ mix64(keys[i] ^ 0x9e3779b97f4a7c15)),
-  /// i.e. keyed_hash(data, keys[i]) with base = fnv1a64(data).
-  void (*ahdr_mix)(std::uint64_t base, const std::uint64_t* keys,
-                   std::size_t n, std::uint64_t* hashes);
 };
 
 /// The portable scalar reference backend (always available).
@@ -141,6 +128,12 @@ enum class KernelSelect {
 /// usage + exit 2 (the resolve_threads flag-hardening convention).
 KernelSelect select_kernel(std::string_view name) noexcept;
 
+/// select_kernel() for a --kernel command-line value (null reads as
+/// ""): the empty string when the selection applied, else the error
+/// text, e.g. `--kernel wants auto|scalar|simd|sse2|avx2|avx512, got
+/// "x"`. Each CLI prints it after its own name and exits 2.
+std::string select_kernel_flag(const char* name);
+
 /// RAII backend override for benchmarks and parity tests: forces the
 /// given backend for the current process, restores the previous
 /// selection on destruction. Not thread-scoped — do not interleave with
@@ -164,11 +157,17 @@ std::string cpu_features();
 /// active backend, how it was chosen, CPU features, compiled tiers.
 std::string kernel_info();
 
-/// Smith's-algorithm complex division shared by the equalizer backends
-/// and the pilot phase estimate: branch-free formulation whose per-lane
-/// operation sequence matches the SIMD implementation exactly. An exact
-/// zero denominator yields garbage (callers mask h == 0 beforehand).
+/// Smith's-algorithm complex division shared by the equalizer and the
+/// pilot phase estimate (detail::smith_div). An exact zero denominator
+/// yields garbage (callers mask h == 0 beforehand).
 Cx div_smith(Cx num, Cx den) noexcept;
+
+/// Per-subcarrier equalization of n gathered bins: for each i,
+/// data_out[i] = (bins[i] / h[i]) * derotate and gains_out[i] =
+/// |h[i]|^2, with h[i] == 0 treated as an erased subcarrier (data_out 0,
+/// gains_out 0). Division follows Smith's algorithm (see div_smith).
+void equalize(const Cx* bins, const Cx* h, std::size_t n, Cx derotate,
+              Cx* data_out, double* gains_out) noexcept;
 
 struct PilotEstimate {
   Cx corr;
@@ -177,9 +176,7 @@ struct PilotEstimate {
 
 /// Serial pilot correlation against the expected +-1 pattern:
 /// corr = sum_i (bins[i] / h[i]) * expected[i], magnitude_sum =
-/// sum_i |bins[i] / h[i]|, skipping pilots with h[i] == 0. Serial and
-/// shared by every backend (n is 4), so the phase estimate — and with it
-/// the derotation each backend applies — is backend-independent.
+/// sum_i |bins[i] / h[i]|, skipping pilots with h[i] == 0 (n is 4).
 PilotEstimate pilot_estimate(const Cx* bins, const Cx* h,
                              const double* expected, std::size_t n) noexcept;
 

@@ -3,16 +3,16 @@
 // Shared element-wise kernel operations (internal to src/dsp).
 //
 // Every function here defines THE operation sequence for one output
-// element; the scalar backend is a plain loop over these, and the SIMD
-// backends replicate the identical sequence across vector lanes (plus
-// these exact functions on remainder tails). Keeping them in one header
-// included by every kernel translation unit — all compiled with
-// -ffp-contract=off — is what makes the bit-identity contract hold: no
-// TU may reassociate, contract to FMA, or reorder the arithmetic.
+// element; the scalar backend and dsp::equalize are plain loops over
+// these, and the SIMD backends replicate the identical sequence across
+// vector lanes (plus these exact functions on remainder tails). Keeping
+// them in one header included by every kernel translation unit — all
+// compiled with -ffp-contract=off — is what makes the bit-identity
+// contract hold: no TU may reassociate, contract to FMA, or reorder the
+// arithmetic.
 
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
 #include <limits>
 
 #include "dsp/complex_vec.hpp"
@@ -51,15 +51,11 @@ inline void bit_reverse(Cx* data, std::size_t n) noexcept {
   }
 }
 
-/// Smith's-algorithm complex division (a + bi) / (c + di), the exact
-/// sequence every backend runs per lane:
+/// Smith's-algorithm complex division (a + bi) / (c + di):
 ///   swap = !(|c| < |d|)  — operand pair reversed, quotient imag negated
 ///   ratio = cc/dd; denom = cc*ratio + dd
 ///   x = (aa*ratio + bb)/denom; y = (bb*ratio - aa)/denom  (y = -y when
 ///   swapped)
-/// The branchless SIMD form selects operands by mask and flips y's sign
-/// bit, which is bit-identical to this scalar form (IEEE negation and
-/// a - b == a + (-b) are exact).
 inline void smith_div(double a, double b, double c, double d, double& x,
                       double& y) noexcept {
   const bool swap = !(std::fabs(c) < std::fabs(d));
@@ -87,20 +83,6 @@ inline void equalize_one(Cx bin, Cx h, Cx derotate, Cx& data_out,
   double qr, qi;
   smith_div(bin.real(), bin.imag(), c, d, qr, qi);
   data_out = cx_mul(Cx{qr, qi}, derotate);
-}
-
-/// Stafford Mix13 finalizer (matches common/hash.hpp mix64; restated so
-/// dsp does not depend on common's header layout).
-inline std::uint64_t mix64(std::uint64_t z) noexcept {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-/// One A-HDR keyed-hash finalization (integer — exact on any backend).
-inline std::uint64_t ahdr_mix_one(std::uint64_t base,
-                                  std::uint64_t key) noexcept {
-  return mix64(base ^ mix64(key ^ 0x9e3779b97f4a7c15ULL));
 }
 
 /// Shared Viterbi forward-pass scaffolding: initial metrics and the

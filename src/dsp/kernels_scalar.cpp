@@ -65,25 +65,8 @@ void viterbi_forward_scalar(const double* soft, std::size_t steps,
   std::memcpy(final_metric, metric, sizeof(metric));
 }
 
-void equalize_scalar(const Cx* bins, const Cx* h, std::size_t n,
-                     Cx derotate, Cx* data_out, double* gains_out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    detail::equalize_one(bins[i], h[i], derotate, data_out[i],
-                         gains_out[i]);
-  }
-}
-
-void ahdr_mix_scalar(std::uint64_t base, const std::uint64_t* keys,
-                     std::size_t n, std::uint64_t* hashes) {
-  for (std::size_t i = 0; i < n; ++i) {
-    hashes[i] = detail::ahdr_mix_one(base, keys[i]);
-  }
-}
-
-constexpr KernelBackend kScalarBackend{
-    "scalar",         fft_scalar,      fft_batch_scalar,
-    viterbi_forward_scalar, equalize_scalar, ahdr_mix_scalar,
-};
+constexpr KernelBackend kScalarBackend{"scalar", fft_scalar, fft_batch_scalar,
+                                       viterbi_forward_scalar};
 
 }  // namespace
 

@@ -68,16 +68,6 @@ inline vd loadu(const double* p) noexcept {
 
 inline void storeu(double* p, vd v) noexcept { std::memcpy(p, &v, sizeof v); }
 
-inline vu loadu_u64(const std::uint64_t* p) noexcept {
-  vu v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-inline void storeu_u64(std::uint64_t* p, vu v) noexcept {
-  std::memcpy(p, &v, sizeof v);
-}
-
 inline vd splat(double x) noexcept { return vd{} + x; }
 
 /// [a0,a1,a2,a3] -> [a1,a0,a3,a2] (re/im swap of each complex pair).
@@ -109,12 +99,6 @@ inline vd deint_odd(vd a, vd b) noexcept {
 inline vd neg_even_mask() noexcept {
   vd m{};
   for (std::size_t l = 0; l < kLanes; l += 2) m[l] = -0.0;
-  return m;
-}
-
-inline vd neg_odd_mask() noexcept {
-  vd m{};
-  for (std::size_t l = 1; l < kLanes; l += 2) m[l] = -0.0;
   return m;
 }
 
@@ -412,83 +396,8 @@ void viterbi_forward_simd(const double* soft, std::size_t steps,
   std::memcpy(final_metric, metric, sizeof(metric));
 }
 
-// ----------------------------------------------------------- Equalizer
-
-void equalize_simd(const Cx* bins, const Cx* h, std::size_t n, Cx derotate,
-                   Cx* data_out, double* gains_out) {
-  const double* braw = reinterpret_cast<const double*>(bins);
-  const double* hraw = reinterpret_cast<const double*>(h);
-  double* oraw = reinterpret_cast<double*>(data_out);
-  const vd drr = splat(derotate.real());
-  const vd dri = splat(derotate.imag());
-  const vd neg_even = neg_even_mask();
-  const vd neg_odd = neg_odd_mask();
-  const vi abs_mask = ~(vi)neg_odd & ~(vi)neg_even;  // clear sign bits
-  const vd zero{};
-
-  std::size_t i = 0;
-  for (; i + kCplx <= n; i += kCplx) {
-    const vd num = loadu(braw + 2 * i);
-    const vd den = loadu(hraw + 2 * i);
-    // Smith's algorithm, branchless: when |c| >= |d| the operand pair
-    // is processed swapped and the quotient's imag lane sign-flipped —
-    // the exact scalar sequence in detail::smith_div.
-    const vd c_abs = (vd)((vi)dup_even(den) & abs_mask);
-    const vd d_abs = (vd)((vi)dup_odd(den) & abs_mask);
-    const vi swap_m = ~(vi)(c_abs < d_abs);
-    const vd nsel = bit_select(swap_m, swap_pairs(num), num);
-    const vd dsel = bit_select(swap_m, swap_pairs(den), den);
-    const vd cc = dup_even(dsel);
-    const vd dd = dup_odd(dsel);
-    const vd ratio = cc / dd;
-    const vd denom = cc * ratio + dd;
-    const vd t1 = nsel * ratio;  // [aa*ratio, bb*ratio]
-    const vd t2 = (vd)((vi)swap_pairs(nsel) ^ (vi)neg_odd);  // [bb, -aa]
-    vd q = (t1 + t2) / denom;    // [x, y-before-sign-fix]
-    q = (vd)((vi)q ^ (swap_m & (vi)neg_odd));  // y = -y where swapped
-    // Derotate: complex multiply by the broadcast unit rotation.
-    const vd t3 = q * drr;
-    const vd t4 = swap_pairs(q) * dri;
-    vd res = t3 + (vd)((vi)t4 ^ (vi)neg_even);
-    // Erased subcarriers (h == 0): exact 0 out, before any NaN leaks.
-    const vi dead = (vi)(dup_even(den) == zero) & (vi)(dup_odd(den) == zero);
-    res = (vd)(~dead & (vi)res);
-    storeu(oraw + 2 * i, res);
-    // Gains |h|^2: same c*c + d*d per element as the scalar loop.
-    const vd hh = den * den;
-    for (std::size_t p = 0; p < kCplx; ++p) {
-      gains_out[i + p] = hh[2 * p] + hh[2 * p + 1];
-    }
-  }
-  for (; i < n; ++i) {  // remainder lanes: scalar reference ops
-    equalize_one(bins[i], h[i], derotate, data_out[i], gains_out[i]);
-  }
-}
-
-// ---------------------------------------------------------- A-HDR hash
-
-inline vu mix64_v(vu z) noexcept {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-void ahdr_mix_simd(std::uint64_t base, const std::uint64_t* keys,
-                   std::size_t n, std::uint64_t* hashes) {
-  const vu basev = vu{} + base;
-  const vu golden = vu{} + 0x9e3779b97f4a7c15ULL;
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    const vu k = loadu_u64(keys + i);
-    storeu_u64(hashes + i, mix64_v(basev ^ mix64_v(k ^ golden)));
-  }
-  for (; i < n; ++i) hashes[i] = ahdr_mix_one(base, keys[i]);
-}
-
-constexpr KernelBackend kBackend{
-    CARPOOL_KV_NAME,      fft_simd,      fft_batch_simd,
-    viterbi_forward_simd, equalize_simd, ahdr_mix_simd,
-};
+constexpr KernelBackend kBackend{CARPOOL_KV_NAME, fft_simd, fft_batch_simd,
+                                 viterbi_forward_simd};
 
 }  // namespace CARPOOL_KV_NS
 }  // namespace carpool::dsp::detail

@@ -33,8 +33,7 @@ void require_sta(NodeId sta, std::size_t table_size, const char* who) {
   if (sta == kApNode) {
     throw std::logic_error(std::string(who) +
                            ": NodeId 0 is the AP, never a downlink "
-                           "destination (old rates_for_snrs() silently "
-                           "pinned this slot to the max rate)");
+                           "destination");
   }
   if (sta >= table_size) {
     throw std::out_of_range(std::string(who) + ": STA id beyond the table");

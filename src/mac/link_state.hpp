@@ -146,12 +146,10 @@ struct LinkDecision {
 /// everyone but LinkStateMachine::snapshot, which refills it in place.
 ///
 /// Indexing contract: the table is addressed by NodeId and **index 0 is
-/// the AP**, which is never a valid downlink destination. Unlike the old
-/// rates_for_snrs() convention — which silently pinned index 0 to the max
-/// rate and let callers index it by accident — querying the AP here
-/// throws std::logic_error. Stations beyond the table get defaults
-/// (default rate, schedulable), so a snapshot built for N stations is
-/// safe against late-joining queue indices.
+/// the AP**, which is never a valid downlink destination, so querying
+/// the AP here throws std::logic_error. Stations beyond the table get
+/// defaults (default rate, schedulable), so a snapshot built for N
+/// stations is safe against late-joining queue indices.
 class LinkSnapshot {
  public:
   LinkSnapshot() = default;  ///< empty: no policy, defaults for everyone

@@ -4,6 +4,8 @@
 #include <bit>
 #include <cmath>
 
+#include "common/hash.hpp"
+
 namespace carpool::mac {
 
 double AnalyticPhyModel::symbol_error_prob(double snr_db,
@@ -35,9 +37,7 @@ namespace {
 /// Memo slot for a folded key: splitmix64's finalizer, whose top six bits
 /// pick one of 64 slots.
 std::size_t memo_slot(std::uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return static_cast<std::size_t>(z >> 58);
+  return static_cast<std::size_t>(mix64(z) >> 58);
 }
 
 }  // namespace
@@ -125,10 +125,7 @@ namespace {
 
 /// splitmix64: one hashed uniform per (seed, Markov step).
 double step_uniform(std::uint64_t seed, std::uint64_t step) {
-  std::uint64_t z = seed + 0x9e3779b97f4a7c15ULL * (step + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  z ^= z >> 31;
+  const std::uint64_t z = mix64(seed + 0x9e3779b97f4a7c15ULL * (step + 1));
   return static_cast<double>(z >> 11) * 0x1.0p-53;
 }
 

@@ -1,5 +1,7 @@
 #include "mac/rate_adaptation.hpp"
 
+#include <iterator>
+
 namespace carpool::mac {
 
 double rate_for_snr(double snr_db) {
@@ -8,14 +10,6 @@ double rate_for_snr(double snr_db) {
     if (snr_db >= kHtThresholds[i]) rate = kHtRates[i];
   }
   return rate;
-}
-
-std::vector<double> rates_for_snrs(std::span<const double> sta_snr_db) {
-  std::vector<double> rates;
-  rates.reserve(sta_snr_db.size() + 1);
-  rates.push_back(kHtRates[std::size(kHtRates) - 1]);  // AP placeholder
-  for (const double snr : sta_snr_db) rates.push_back(rate_for_snr(snr));
-  return rates;
 }
 
 }  // namespace carpool::mac

@@ -12,8 +12,6 @@
 // AP slot instead of silently returning a pinned placeholder rate.
 
 #include <cstddef>
-#include <span>
-#include <vector>
 
 namespace carpool::mac {
 
@@ -27,13 +25,5 @@ inline constexpr double kHtThresholds[] = {5, 8, 11, 14, 18, 22, 26, 28};
 
 /// Highest rate whose threshold the SNR clears; never below the base rate.
 double rate_for_snr(double snr_db);
-
-/// Rate table for a set of stations, addressed by NodeId: index i = STA i
-/// (sta_snr_db[i - 1]). Index 0 is the AP and NOT a rate decision — it is
-/// a placeholder kept only so NodeId indexes directly, and is pinned to
-/// the max rate. Never feed rates[0] into airtime math; schedulers should
-/// consume a LinkSnapshot instead, which enforces this contract by
-/// throwing std::logic_error on the AP slot.
-std::vector<double> rates_for_snrs(std::span<const double> sta_snr_db);
 
 }  // namespace carpool::mac

@@ -234,14 +234,6 @@ constexpr std::array kCatalog{
                  {"symbol/s", "bench",
                   "Viterbi ACS trellis steps per second, per kernel "
                   "backend"}},
-    CatalogEntry{"micro.equalize.symbols_per_sec.*",
-                 {"symbol/s", "bench",
-                  "48-subcarrier OFDM symbol equalizations per second, "
-                  "per kernel backend"}},
-    CatalogEntry{"micro.ahdr.symbols_per_sec.*",
-                 {"symbol/s", "bench",
-                  "A-HDR keyed-hash finalizations per second, per kernel "
-                  "backend"}},
     CatalogEntry{"micro.fft64.simd_speedup.*",
                  {"ratio", "bench",
                   "FFT symbols/sec speedup of the best SIMD tier over the "
@@ -249,14 +241,6 @@ constexpr std::array kCatalog{
     CatalogEntry{"micro.viterbi.simd_speedup.*",
                  {"ratio", "bench",
                   "Viterbi ACS speedup of the best SIMD tier over the "
-                  "scalar reference"}},
-    CatalogEntry{"micro.equalize.simd_speedup.*",
-                 {"ratio", "bench",
-                  "Equalizer speedup of the best SIMD tier over the "
-                  "scalar reference"}},
-    CatalogEntry{"micro.ahdr.simd_speedup.*",
-                 {"ratio", "bench",
-                  "A-HDR hash speedup of the best SIMD tier over the "
                   "scalar reference"}},
 };
 

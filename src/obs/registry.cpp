@@ -1,12 +1,13 @@
 #include "obs/registry.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <bit>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 
+#include "common/hash.hpp"
 #include "common/json.hpp"
 #include "common/stats.hpp"
 
@@ -290,16 +291,11 @@ void Registry::restore(const MetricsSnapshot& snap) {
 
 std::uint64_t Registry::fingerprint() const {
   const std::scoped_lock lock(mutex_);
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
-  const auto mix_byte = [&h](std::uint8_t b) {
-    h = (h ^ b) * 0x100000001b3ULL;  // FNV-1a prime
-  };
-  const auto mix_str = [&](std::string_view s) {
-    for (const char c : s) mix_byte(static_cast<std::uint8_t>(c));
-    mix_byte(0);  // terminator: "ab"+"c" must differ from "a"+"bc"
-  };
-  const auto mix_u64 = [&](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) mix_byte(static_cast<std::uint8_t>(v >> (8 * i)));
+  std::uint64_t h = kFnv1aBasis;
+  const auto mix_str = [&h](std::string_view s) {
+    // terminator: "ab"+"c" must differ from "a"+"bc"
+    constexpr std::uint8_t kTerminator[] = {0};
+    h = fnv1a64(kTerminator, fnv1a64(s, h));
   };
   // "ops" metrics (retry/quarantine/checkpoint bookkeeping) count
   // wall-clock accidents, not simulation events: a retried shard or a
@@ -311,16 +307,12 @@ std::uint64_t Registry::fingerprint() const {
   for (const auto& [name, c] : counters_) {
     if (is_ops(name)) continue;
     mix_str(name);
-    mix_u64(c->value());
+    h = fnv1a64_u64(c->value(), h);
   }
   for (const auto& [name, g] : gauges_) {
     if (is_ops(name)) continue;
     mix_str(name);
-    double v = g->value();
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    mix_u64(bits);
+    h = fnv1a64_u64(std::bit_cast<std::uint64_t>(g->value()), h);
   }
   return h;
 }

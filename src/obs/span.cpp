@@ -1,8 +1,10 @@
 #include "obs/span.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 
+#include "common/hash.hpp"
 #include "obs/registry.hpp"
 
 namespace carpool::obs {
@@ -15,37 +17,6 @@ std::uint64_t now_ns() noexcept {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void fnv_bytes(std::uint64_t& h, const void* data, std::size_t n) noexcept {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-}
-
-void fnv_str(std::uint64_t& h, std::string_view s) noexcept {
-  fnv_bytes(h, s.data(), s.size());
-  h ^= 0xFFu;  // length terminator so "ab","c" != "a","bc"
-  h *= kFnvPrime;
-}
-
-void fnv_u64(std::uint64_t& h, std::uint64_t v) noexcept {
-  fnv_bytes(h, &v, sizeof(v));
-}
-
-void fnv_i64(std::uint64_t& h, std::int64_t v) noexcept {
-  fnv_bytes(h, &v, sizeof(v));
-}
-
-void fnv_f64(std::uint64_t& h, double v) noexcept {
-  // Hash the IEEE bit pattern; +0.0 and -0.0 differ, which is fine for a
-  // determinism canary (a deterministic workload reproduces the sign too).
-  fnv_bytes(h, &v, sizeof(v));
 }
 
 }  // namespace
@@ -108,20 +79,33 @@ void SpanCollector::merge_from(const SpanCollector& other) {
 }
 
 std::uint64_t SpanCollector::fingerprint() const {
-  std::uint64_t h = kFnvOffset;
+  // Strings fold a 0xFF terminator so "ab","c" != "a","bc". Doubles fold
+  // their IEEE bit pattern: +0.0 and -0.0 differ, which is fine for a
+  // determinism canary (a deterministic workload reproduces the sign too).
+  constexpr std::uint8_t kTerminator[] = {0xFF};
+  const auto str = [&](std::string_view s, std::uint64_t h) {
+    return fnv1a64(kTerminator, fnv1a64(s, h));
+  };
+  const auto i64 = [](std::int64_t v, std::uint64_t h) {
+    return fnv1a64_u64(static_cast<std::uint64_t>(v), h);
+  };
+  const auto f64 = [](double v, std::uint64_t h) {
+    return fnv1a64_u64(std::bit_cast<std::uint64_t>(v), h);
+  };
+  std::uint64_t h = kFnv1aBasis;
   for (const SpanRecord& r : records_) {
-    fnv_u64(h, r.id);
-    fnv_u64(h, r.parent);
-    fnv_str(h, r.name);
-    fnv_i64(h, r.ids.txop);
-    fnv_i64(h, r.ids.frame);
-    fnv_i64(h, r.ids.subframe);
-    fnv_i64(h, r.ids.sta);
-    fnv_f64(h, r.sim_start);
-    fnv_f64(h, r.sim_duration);
+    h = fnv1a64_u64(r.id, h);
+    h = fnv1a64_u64(r.parent, h);
+    h = str(r.name, h);
+    h = i64(r.ids.txop, h);
+    h = i64(r.ids.frame, h);
+    h = i64(r.ids.subframe, h);
+    h = i64(r.ids.sta, h);
+    h = f64(r.sim_start, h);
+    h = f64(r.sim_duration, h);
     // wall_start_ns / wall_ns deliberately excluded: wall clock varies run
     // to run, and the fingerprint must match at any thread count.
-    fnv_str(h, r.outcome);
+    h = str(r.outcome, h);
   }
   return h;
 }

@@ -10,8 +10,9 @@ namespace carpool::par {
 
 namespace {
 
-/// One stateless splitmix64 step over `x`. Deterministic in its inputs.
-std::uint64_t mix64(std::uint64_t x) noexcept { return splitmix64(x); }
+/// One stateless splitmix64 step over `x`: mix64(x + golden gamma).
+/// Deterministic in its inputs.
+std::uint64_t splitmix_step(std::uint64_t x) noexcept { return splitmix64(x); }
 
 }  // namespace
 
@@ -63,7 +64,7 @@ FaultPlan FaultPlan::seeded(std::uint64_t seed, std::size_t shards,
                             double rate, FaultKind kind) {
   FaultPlan plan;
   for (std::size_t i = 0; i < shards; ++i) {
-    const std::uint64_t draw = mix64(seed ^ mix64(i + 1));
+    const std::uint64_t draw = splitmix_step(seed ^ splitmix_step(i + 1));
     // Map the top 53 bits to [0, 1).
     const double u = static_cast<double>(draw >> 11) * 0x1.0p-53;
     if (u < rate) plan.entries.push_back({i, 0, kind});
@@ -77,7 +78,8 @@ double RetryPolicy::backoff_ms(std::size_t shard,
   const double exp = backoff_base_ms * std::ldexp(1.0, static_cast<int>(
                          std::min<std::size_t>(attempt - 1, 30)));
   const std::uint64_t draw =
-      mix64(backoff_seed ^ mix64(shard + 1) ^ mix64(attempt * 0x9e37ULL));
+      splitmix_step(backoff_seed ^ splitmix_step(shard + 1) ^
+                    splitmix_step(attempt * 0x9e37ULL));
   const double jitter = 0.5 + static_cast<double>(draw >> 11) * 0x1.0p-53;
   return std::min(exp * jitter, backoff_max_ms);
 }

@@ -17,8 +17,6 @@ SymbolEqualization equalize_symbol(std::span<const Cx> bins,
   }
   OBS_SCOPED_TIMER("phy.equalize");
   // Pilot phase estimate: correlate equalized pilots against expectation.
-  // This stays on the shared serial path (dsp::pilot_estimate) so the
-  // derotation below is identical no matter which backend equalizes.
   const double polarity = pilot_polarity(symbol_index);
   const auto pbins = pilot_bins();
   const auto pbase = pilot_base();
@@ -39,10 +37,9 @@ SymbolEqualization equalize_symbol(std::span<const Cx> bins,
                           ? std::abs(pilots.corr) / pilots.magnitude_sum
                           : 0.0;
 
-  // Gather the 48 data subcarriers into contiguous arrays and hand the
-  // whole symbol to the active kernel backend (docs/KERNELS.md): one
-  // equalize-and-derotate sweep instead of 48 scalar divisions. h == 0
-  // marks an erased subcarrier (data 0, gain 0) on every backend.
+  // Gather the 48 data subcarriers into contiguous arrays and equalize
+  // and derotate them in one sweep. h == 0 marks an erased subcarrier
+  // (data 0, gain 0).
   const Cx derotate = cx_exp(-out.phase_offset);
   const auto dbins = data_bins();
   std::array<Cx, kNumDataSubcarriers> data_rx;
@@ -53,9 +50,8 @@ SymbolEqualization equalize_symbol(std::span<const Cx> bins,
   }
   out.data.resize(kNumDataSubcarriers);
   out.gains.resize(kNumDataSubcarriers);
-  dsp::active_backend().equalize(data_rx.data(), data_h.data(),
-                                 kNumDataSubcarriers, derotate,
-                                 out.data.data(), out.gains.data());
+  dsp::equalize(data_rx.data(), data_h.data(), kNumDataSubcarriers,
+                derotate, out.data.data(), out.gains.data());
   return out;
 }
 

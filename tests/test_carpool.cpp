@@ -27,21 +27,56 @@ Bytes random_psdu(std::size_t n, Rng& rng) {
 
 TEST(Bloom, NoFalseNegatives) {
   Rng rng(1);
-  for (int trial = 0; trial < 200; ++trial) {
-    AggregationBloomFilter filter(4);
-    std::vector<MacAddress> receivers;
-    const std::size_t n = 1 + rng.uniform_int(kMaxReceivers);
-    for (std::size_t i = 0; i < n; ++i) {
-      receivers.push_back(MacAddress::for_station(
-          static_cast<std::uint32_t>(rng.uniform_int(1 << 20))));
-      filter.insert(receivers.back(), i);
+  for (const std::size_t num_hashes : {1u, 2u, 4u, 8u, 16u}) {
+    for (int trial = 0; trial < 200; ++trial) {
+      AggregationBloomFilter filter(num_hashes);
+      std::vector<MacAddress> receivers;
+      const std::size_t n = 1 + rng.uniform_int(kMaxReceivers);
+      for (std::size_t i = 0; i < n; ++i) {
+        receivers.push_back(MacAddress::for_station(
+            static_cast<std::uint32_t>(rng.uniform_int(1 << 20))));
+        filter.insert(receivers.back(), i);
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_TRUE(filter.matches(receivers[i], i)) << "h=" << num_hashes;
+        const auto matched = filter.matched_subframes(receivers[i]);
+        EXPECT_TRUE(std::find(matched.begin(), matched.end(), i) !=
+                    matched.end());
+      }
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_TRUE(filter.matches(receivers[i], i));
-      const auto matched = filter.matched_subframes(receivers[i]);
-      EXPECT_TRUE(std::find(matched.begin(), matched.end(), i) !=
-                  matched.end());
+  }
+}
+
+TEST(Bloom, FilterBitsPinned) {
+  // The on-air A-HDR bits (bit i of `bits` = to_bits()[i]) for fixed
+  // receiver sets: receiver i owns subframe i. A change to the hash
+  // family or to insert() moves them.
+  const MacAddress macs[] = {
+      MacAddress::for_station(1),    MacAddress::for_station(2),
+      MacAddress::for_station(300),  MacAddress{0x00163e5a1b2cULL},
+      MacAddress{0xa4c3f0851d77ULL}, MacAddress{0xffffffffffffULL},
+      MacAddress{0x000000000001ULL}, MacAddress::for_station(0xfffff)};
+  struct Case {
+    std::size_t num_hashes;
+    std::size_t receivers;
+    std::uint64_t bits;
+  };
+  const Case cases[] = {
+      {1, 8, 0x040004480081ULL}, {2, 8, 0x044405580489ULL},
+      {4, 8, 0x944c0dfd0489ULL}, {4, 1, 0x80000c080000ULL},
+      {8, 4, 0x80fbac6c6e89ULL}, {16, 2, 0xe441ade96e82ULL},
+      {16, 8, 0xfcfffffffeebULL},
+  };
+  for (const Case& c : cases) {
+    AggregationBloomFilter filter(c.num_hashes);
+    for (std::size_t i = 0; i < c.receivers; ++i) filter.insert(macs[i], i);
+    const Bits bits = filter.to_bits();
+    ASSERT_EQ(bits.size(), kAhdrBits);
+    std::uint64_t got = 0;
+    for (std::size_t b = 0; b < kAhdrBits; ++b) {
+      got |= std::uint64_t{bits[b]} << b;
     }
+    EXPECT_EQ(got, c.bits) << "h=" << c.num_hashes << " N=" << c.receivers;
   }
 }
 

@@ -1,8 +1,8 @@
-// Kernel-dispatch parity suite (docs/KERNELS.md): every SIMD tier must
-// be *bit-identical* to the scalar reference backend on randomized
-// inputs — including remainder lanes, erased subcarriers, soft-bit
-// erasures, and path-metric ties — plus feature detection and the
-// strict --kernel / CARPOOL_KERNEL selection semantics.
+// Kernel-dispatch parity suite (docs/KERNELS.md): every SIMD tier's FFT
+// and Viterbi forward pass must be *bit-identical* to the scalar
+// reference backend on randomized inputs — including remainder lanes,
+// soft-bit erasures, and path-metric ties — plus feature detection and
+// the strict --kernel / CARPOOL_KERNEL selection semantics.
 
 #include <gtest/gtest.h>
 
@@ -124,45 +124,6 @@ TEST(KernelParity, ViterbiTieBreakKeepsEvenPredecessor) {
     std::vector<double> metric(dsp::kViterbiStates);
     tier->viterbi_forward(soft.data(), steps, sel.data(), metric.data());
     expect_bits_equal(ref_sel, sel, "tie-break select words", tier->name);
-  }
-}
-
-TEST(KernelParity, EqualizeRemainderLanesAndErasures) {
-  std::mt19937_64 rng(0xabadULL);
-  const Cx derotate = carpool::cx_exp(-0.37);
-  // Sizes straddling every vector width, so each tier exercises both
-  // its full-vector body and the scalar remainder tail.
-  for (const std::size_t n : {1UL, 2UL, 3UL, 4UL, 5UL, 7UL, 8UL, 9UL,
-                              16UL, 47UL, 48UL, 49UL}) {
-    CxVec bins = random_cx(rng, n);
-    CxVec h = random_cx(rng, n);
-    if (n > 2) h[n / 2] = Cx{};  // erased subcarrier mid-vector
-    h[n - 1] = Cx{};             // and on the tail
-    CxVec ref_data(n), data(n);
-    std::vector<double> ref_gains(n), gains(n);
-    dsp::scalar_backend().equalize(bins.data(), h.data(), n, derotate,
-                                   ref_data.data(), ref_gains.data());
-    for (const dsp::KernelBackend* tier : simd_tiers()) {
-      tier->equalize(bins.data(), h.data(), n, derotate, data.data(),
-                     gains.data());
-      expect_bits_equal(ref_data, data, "equalized data", tier->name);
-      expect_bits_equal(ref_gains, gains, "channel gains", tier->name);
-    }
-  }
-}
-
-TEST(KernelParity, AhdrMixBatches) {
-  std::mt19937_64 rng(0x5eedULL);
-  for (const std::size_t n : {1UL, 2UL, 3UL, 5UL, 8UL, 13UL, 64UL}) {
-    std::vector<std::uint64_t> keys(n);
-    for (std::uint64_t& k : keys) k = rng();
-    const std::uint64_t base = rng();
-    std::vector<std::uint64_t> ref(n), got(n);
-    dsp::scalar_backend().ahdr_mix(base, keys.data(), n, ref.data());
-    for (const dsp::KernelBackend* tier : simd_tiers()) {
-      tier->ahdr_mix(base, keys.data(), n, got.data());
-      expect_bits_equal(ref, got, "ahdr hashes", tier->name);
-    }
   }
 }
 

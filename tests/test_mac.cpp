@@ -932,14 +932,6 @@ TEST(RateAdaptation, ThresholdTableMonotone) {
   EXPECT_DOUBLE_EQ(rate_for_snr(15.0), 26e6);
 }
 
-TEST(RateAdaptation, RatesForSnrsIndexing) {
-  const std::vector<double> snrs{5.0, 30.0};
-  const auto rates = rates_for_snrs(snrs);
-  ASSERT_EQ(rates.size(), 3u);
-  EXPECT_DOUBLE_EQ(rates[1], rate_for_snr(5.0));
-  EXPECT_DOUBLE_EQ(rates[2], 65e6);
-}
-
 TEST(RateAdaptation, BuildUsesPerStaRates) {
   ApQueues q;
   q.enqueue(make_frame(1, 1000, 0.0));

@@ -106,22 +106,9 @@ void usage() {
 /// CLI input): an unknown name or a tier this CPU cannot run is a usage
 /// error, never a silent fallback.
 void apply_kernel_flag(const char* text) {
-  switch (carpool::dsp::select_kernel(text == nullptr ? "" : text)) {
-    case carpool::dsp::KernelSelect::kOk:
-      return;
-    case carpool::dsp::KernelSelect::kUnavailable:
-      std::fprintf(stderr,
-                   "soak: --kernel %s is not supported on this CPU (%s)\n",
-                   text, carpool::dsp::kernel_info().c_str());
-      usage();
-      std::exit(2);
-    case carpool::dsp::KernelSelect::kUnknown:
-      break;
-  }
-  std::fprintf(stderr,
-               "soak: --kernel wants auto|scalar|simd|sse2|avx2|avx512, "
-               "got \"%s\"\n",
-               text == nullptr ? "" : text);
+  const std::string error = carpool::dsp::select_kernel_flag(text);
+  if (error.empty()) return;
+  std::fprintf(stderr, "soak: %s\n", error.c_str());
   usage();
   std::exit(2);
 }
