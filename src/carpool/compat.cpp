@@ -13,14 +13,12 @@ FrameKind classify_waveform(std::span<const Cx> waveform) {
   const auto sync = detect_frame(
       waveform.first(std::min(waveform.size(), kPreambleLen)));
   if (!sync || sync->frame_start > 32) return FrameKind::kUndecodable;
-  const Frontend fe = receive_frontend(waveform);
+  Frontend fe = receive_frontend(waveform);
   if (!fe.ok()) return FrameKind::kUndecodable;
-  const std::span<const Cx> wave(fe.corrected);
 
   // Hypothesis 1: legacy — the first symbol is a valid SIG.
   {
-    const CxVec bins =
-        extract_symbol(wave.subspan(fe.data_start, kSymbolLen));
+    const CxVec bins = extract_symbol(fe.window(fe.data_start, kSymbolLen));
     const SymbolEqualization eq = equalize_symbol(bins, fe.h, 0);
     if (decode_sig(eq.data, eq.gains).has_value()) {
       return FrameKind::kLegacy;
@@ -28,9 +26,9 @@ FrameKind classify_waveform(std::span<const Cx> waveform) {
   }
 
   // Hypothesis 2: Carpool — two A-HDR symbols followed by a valid SIG.
-  if (wave.size() >= fe.data_start + 3 * kSymbolLen) {
-    const CxVec bins = extract_symbol(
-        wave.subspan(fe.data_start + 2 * kSymbolLen, kSymbolLen));
+  if (waveform.size() >= fe.data_start + 3 * kSymbolLen) {
+    const CxVec bins =
+        extract_symbol(fe.window(fe.data_start + 2 * kSymbolLen, kSymbolLen));
     const SymbolEqualization eq = equalize_symbol(bins, fe.h, 2);
     if (decode_sig(eq.data, eq.gains).has_value()) {
       return FrameKind::kCarpool;

@@ -73,16 +73,15 @@ CarpoolRtsResult receive_carpool_rts(std::span<const Cx> waveform,
                                      std::size_t bloom_hashes) {
   CarpoolRtsResult result;
   if (waveform.size() < kPreambleLen + 3 * kSymbolLen) return result;
-  const Frontend fe = receive_frontend(waveform);
+  Frontend fe = receive_frontend(waveform);
   if (!fe.ok()) return result;  // jammed preamble: no NAV, no slots
-  const std::span<const Cx> wave(fe.corrected);
 
   std::size_t pos = fe.data_start;
   std::size_t sym_idx = 0;
-  const CxVec bins0 = extract_symbol(wave.subspan(pos, kSymbolLen));
+  const CxVec bins0 = extract_symbol(fe.window(pos, kSymbolLen));
   const SymbolEqualization eq0 = equalize_symbol(bins0, fe.h, sym_idx++);
   pos += kSymbolLen;
-  const CxVec bins1 = extract_symbol(wave.subspan(pos, kSymbolLen));
+  const CxVec bins1 = extract_symbol(fe.window(pos, kSymbolLen));
   const SymbolEqualization eq1 = equalize_symbol(bins1, fe.h, sym_idx++);
   pos += kSymbolLen;
   const Bits ahdr = decode_ahdr(eq0.data, eq0.gains, eq1.data, eq1.gains);
@@ -90,18 +89,18 @@ CarpoolRtsResult receive_carpool_rts(std::span<const Cx> waveform,
   result.my_slots = bloom.matched_subframes(self);
 
   // Control body (always present; every station may read it to set NAV).
-  const CxVec sig_bins = extract_symbol(wave.subspan(pos, kSymbolLen));
+  const CxVec sig_bins = extract_symbol(fe.window(pos, kSymbolLen));
   const SymbolEqualization sig_eq = equalize_symbol(sig_bins, fe.h, sym_idx);
   const auto sig = decode_sig(sig_eq.data, sig_eq.gains);
   if (!sig || sig->mcs_index != 0) return result;
   const Mcs& m = basic_mcs();
   const std::size_t n_sym = num_data_symbols(m, sig->length_bytes);
-  if (pos + (1 + n_sym) * kSymbolLen > wave.size()) return result;
+  if (pos + (1 + n_sym) * kSymbolLen > waveform.size()) return result;
 
   SoftBits soft;
   for (std::size_t j = 0; j < n_sym; ++j) {
     const CxVec bins =
-        extract_symbol(wave.subspan(pos + (1 + j) * kSymbolLen, kSymbolLen));
+        extract_symbol(fe.window(pos + (1 + j) * kSymbolLen, kSymbolLen));
     const SymbolEqualization eq = equalize_symbol(bins, fe.h, sym_idx + 1 + j);
     demap_symbol_soft(eq.data, eq.gains, m.modulation, soft);
   }

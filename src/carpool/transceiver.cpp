@@ -204,13 +204,12 @@ CarpoolRxResult CarpoolReceiver::receive_impl(
     result.status = DecodeStatus::kTruncated;
     return result;
   }
-  const Frontend fe = receive_frontend(waveform);
+  Frontend fe = receive_frontend(waveform);
   result.sync_quality = fe.sync_quality;
   if (!fe.ok()) {
     result.status = fe.status;
     return result;
   }
-  const std::span<const Cx> wave(fe.corrected);
   CxVec h = fe.h;  // running channel estimate H~
 
   // Poisoning guard state (spans subframes; see CarpoolRxConfig).
@@ -222,10 +221,10 @@ CarpoolRxResult CarpoolReceiver::receive_impl(
   std::size_t sym_idx = 0;
 
   // A-HDR (two BPSK symbols, never phase-injected).
-  const CxVec bins0 = extract_symbol(wave.subspan(pos, kSymbolLen));
+  const CxVec bins0 = extract_symbol(fe.window(pos, kSymbolLen));
   const SymbolEqualization eq0 = equalize_symbol(bins0, h, sym_idx++);
   pos += kSymbolLen;
-  const CxVec bins1 = extract_symbol(wave.subspan(pos, kSymbolLen));
+  const CxVec bins1 = extract_symbol(fe.window(pos, kSymbolLen));
   const SymbolEqualization eq1 = equalize_symbol(bins1, h, sym_idx++);
   pos += kSymbolLen;
 
@@ -245,13 +244,13 @@ CarpoolRxResult CarpoolReceiver::receive_impl(
   std::size_t k = 0;  // subframe index while walking
 
   while (k <= last_wanted) {
-    if (pos + kSymbolLen > wave.size()) {
+    if (pos + kSymbolLen > waveform.size()) {
       // Frame ended before this subframe's SIG. Subframes already decoded
       // stay in `result`; only the walk past this point is lost.
       result.status = DecodeStatus::kTruncated;
       break;
     }
-    const CxVec sig_bins = extract_symbol(wave.subspan(pos, kSymbolLen));
+    const CxVec sig_bins = extract_symbol(fe.window(pos, kSymbolLen));
     const SymbolEqualization sig_eq = equalize_symbol(sig_bins, h, sym_idx);
     const auto sig = decode_sig(sig_eq.data, sig_eq.gains);
     if (!sig) {
@@ -265,10 +264,10 @@ CarpoolRxResult CarpoolReceiver::receive_impl(
 
     const Mcs& m = mcs(sig->mcs_index);
     const std::size_t n_sym = num_data_symbols(m, sig->length_bytes);
-    const bool truncated = pos + (1 + n_sym) * kSymbolLen > wave.size();
+    const bool truncated = pos + (1 + n_sym) * kSymbolLen > waveform.size();
     // Data symbols actually present when the capture ends mid-subframe.
     const std::size_t n_avail =
-        truncated ? (wave.size() - pos) / kSymbolLen - 1 : n_sym;
+        truncated ? (waveform.size() - pos) / kSymbolLen - 1 : n_sym;
 
     const bool mine = std::find(result.matched.begin(), result.matched.end(),
                                 k) != result.matched.end();
@@ -280,16 +279,11 @@ CarpoolRxResult CarpoolReceiver::receive_impl(
     if (!mine) {
       // Skip: track the common phase only (cheap, keeps the side-channel
       // reference chain alive and mirrors the paper's sampling-without-
-      // decoding energy optimisation).
-      double phase = sig_eq.phase_offset;
-      const CxVec track_bins =
-          extract_symbols(wave.subspan(pos + kSymbolLen), n_sym);
-      for (std::size_t j = 0; j < n_sym; ++j) {
-        const std::span<const Cx> bins(track_bins.data() + j * kFftSize,
-                                       kFftSize);
-        phase = equalize_symbol(bins, h, sym_idx + 1 + j).phase_offset;
-      }
-      prev_phase = phase;
+      // decoding energy optimisation). The tracked phase is the last data
+      // symbol's pilot phase (n_sym >= 1), so only that symbol is read.
+      const CxVec last_bins =
+          extract_symbols(fe.window(pos + n_sym * kSymbolLen, kSymbolLen), 1);
+      prev_phase = equalize_symbol(last_bins, h, sym_idx + n_sym).phase_offset;
       result.symbols_pilot_only += 1 + n_sym;
       pos += (1 + n_sym) * kSymbolLen;
       sym_idx += 1 + n_sym;
@@ -385,8 +379,8 @@ CarpoolRxResult CarpoolReceiver::receive_impl(
 
     SoftBits soft;
     soft.reserve(n_avail * m.n_cbps);
-    const CxVec sub_bins =
-        extract_symbols(wave.subspan(pos + kSymbolLen), n_avail);
+    const CxVec sub_bins = extract_symbols(
+        fe.window(pos + kSymbolLen, n_avail * kSymbolLen), n_avail);
     for (std::size_t j = 0; j < n_avail; ++j) {
       const std::span<const Cx> bins(sub_bins.data() + j * kFftSize,
                                      kFftSize);

@@ -52,10 +52,11 @@ void FadingChannel::init_taps() {
     los_taps_[0] = cx_exp(rng_.uniform(0.0, kTwoPi)) *
                    std::sqrt(power[0] * los_fraction);
   }
+  tap_sigma_.resize(L);
   for (std::size_t l = 0; l < L; ++l) {
-    const double sigma = std::sqrt(power[l] * scatter_scale_ / 2.0);
-    taps_[l] = los_taps_[l] +
-               Cx{rng_.gaussian(0.0, sigma), rng_.gaussian(0.0, sigma)};
+    tap_sigma_[l] = std::sqrt(power[l] * scatter_scale_ / 2.0);
+    taps_[l] = los_taps_[l] + Cx{rng_.gaussian(0.0, tap_sigma_[l]),
+                                 rng_.gaussian(0.0, tap_sigma_[l])};
   }
 }
 
@@ -63,17 +64,9 @@ void FadingChannel::evolve(std::size_t samples) {
   samples_since_update_ += samples;
   while (samples_since_update_ >= config_.update_interval) {
     samples_since_update_ -= config_.update_interval;
-    const std::size_t L = config_.num_taps;
-    std::vector<double> power(L);
-    double total = 0.0;
-    for (std::size_t l = 0; l < L; ++l) {
-      power[l] = std::pow(config_.tap_decay, static_cast<double>(l));
-      total += power[l];
-    }
     const double innovation = std::sqrt(1.0 - rho_ * rho_);
-    for (std::size_t l = 0; l < L; ++l) {
-      const double p = power[l] / total * scatter_scale_;
-      const double sigma = std::sqrt(p / 2.0);
+    for (std::size_t l = 0; l < config_.num_taps; ++l) {
+      const double sigma = tap_sigma_[l];
       const Cx diffuse = taps_[l] - los_taps_[l];
       taps_[l] = los_taps_[l] + rho_ * diffuse +
                  innovation * Cx{rng_.gaussian(0.0, sigma),
@@ -94,6 +87,8 @@ CxVec FadingChannel::transmit(std::span<const Cx> tx) {
   }
   CxVec rx(tx.size());
   const std::size_t L = config_.num_taps;
+  // With no CFO the phase stays at 0, so the rotation is one constant.
+  Cx rotation = cx_exp(cfo_phase_);
   std::size_t processed = 0;
   while (processed < tx.size()) {
     const std::size_t chunk =
@@ -104,9 +99,11 @@ CxVec FadingChannel::transmit(std::span<const Cx> tx) {
       for (std::size_t l = 0; l < L && l <= n; ++l) {
         acc += taps_[l] * tx[n - l];
       }
-      acc *= cx_exp(cfo_phase_);
-      cfo_phase_ = wrap_angle(cfo_phase_ + cfo_step_);
-      rx[n] = acc;
+      rx[n] = acc * rotation;
+      if (cfo_step_ != 0.0) {
+        cfo_phase_ = wrap_angle(cfo_phase_ + cfo_step_);
+        rotation = cx_exp(cfo_phase_);
+      }
     }
     evolve(chunk);
     processed += chunk;

@@ -64,6 +64,7 @@ class FadingChannel {
   CxVec taps_;
   CxVec los_taps_;       // fixed LOS component (zero if not rician)
   double scatter_scale_ = 1.0;  // scale of the diffuse component
+  std::vector<double> tap_sigma_;  // per-axis std-dev of each tap's scatter
   double rho_ = 1.0;     // AR(1) coefficient per update interval
   double cfo_phase_ = 0.0;
   double cfo_step_ = 0.0;  // radians per sample

@@ -170,14 +170,16 @@ Gauge& Registry::gauge(std::string_view name) {
 }
 
 Histogram& Registry::histogram(std::string_view name,
-                               std::vector<double> bounds, std::string unit) {
+                               const std::vector<double>& bounds,
+                               std::string_view unit) {
   const std::scoped_lock lock(mutex_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
+    // Bounds and unit are copied only to register: the lookup every
+    // OBS_SCOPED_TIMER makes copies nothing.
     it = histograms_
-             .emplace(std::string(name), std::make_unique<Histogram>(
-                                             std::move(bounds),
-                                             std::move(unit)))
+             .emplace(std::string(name),
+                      std::make_unique<Histogram>(bounds, std::string(unit)))
              .first;
     attach_meta(name);
   }

@@ -203,8 +203,9 @@ class Registry {
   /// Find-or-create. References remain valid until the registry dies.
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  Histogram& histogram(std::string_view name, std::vector<double> bounds,
-                       std::string unit = {});
+  Histogram& histogram(std::string_view name,
+                       const std::vector<double>& bounds,
+                       std::string_view unit = {});
 
   /// Histogram with the canonical latency buckets (nanoseconds, log-ish
   /// spacing 250 ns .. 1 s). All OBS_SCOPED_TIMER stages use this shape so

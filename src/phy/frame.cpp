@@ -184,23 +184,23 @@ Frontend receive_frontend(std::span<const Cx> waveform) {
     fe.status = DecodeStatus::kTruncated;
     return fe;
   }
-  fe.corrected.assign(waveform.begin(), waveform.end());
+  fe.waveform_ = waveform;
+  fe.buffer_.assign(waveform.begin(), waveform.begin() + kPreambleLen);
+  const std::span<const Cx> preamble(fe.buffer_);
 
-  const double coarse =
-      estimate_coarse_cfo(std::span<const Cx>(fe.corrected).first(kStfLen));
-  apply_cfo_correction(fe.corrected, coarse);
+  fe.coarse_cfo_ = estimate_coarse_cfo(preamble.first(kStfLen));
+  fe.coarse_phase_ = apply_cfo_correction(fe.buffer_, fe.coarse_cfo_);
+  fe.fine_cfo_ = estimate_fine_cfo(preamble.subspan(kStfLen, kLtfLen));
+  fe.fine_phase_ = apply_cfo_correction(fe.buffer_, fe.fine_cfo_);
+  fe.cursor_ = kPreambleLen;
 
-  const double fine = estimate_fine_cfo(
-      std::span<const Cx>(fe.corrected).subspan(kStfLen, kLtfLen));
-  apply_cfo_correction(fe.corrected, fine);
-
-  fe.cfo_radians_per_sample = coarse + fine;
+  fe.cfo_radians_per_sample = fe.coarse_cfo_ + fe.fine_cfo_;
 
   // Post-correction LTF repeat correlation: the two 64-sample FFT windows
   // are identical on the air, so |corr| / power ~ S/(S+N). Pure noise or a
   // grossly mistimed capture scores near zero — below the threshold there
   // is no preamble to estimate a channel from.
-  const std::span<const Cx> ltf(fe.corrected.data() + kStfLen, kLtfLen);
+  const std::span<const Cx> ltf = preamble.subspan(kStfLen, kLtfLen);
   Cx corr{};
   double power = 0.0;
   for (std::size_t n = kLtfCpLen; n < kLtfCpLen + kFftSize; ++n) {
@@ -216,9 +216,30 @@ Frontend receive_frontend(std::span<const Cx> waveform) {
     return fe;
   }
 
-  fe.h = estimate_channel_from_ltf(
-      std::span<const Cx>(fe.corrected).subspan(kStfLen, kLtfLen));
+  fe.h = estimate_channel_from_ltf(ltf);
   return fe;
+}
+
+std::span<const Cx> Frontend::window(std::size_t start, std::size_t count) {
+  if (start > waveform_.size() || count > waveform_.size() - start) {
+    throw std::out_of_range("Frontend::window: past the end of the waveform");
+  }
+  if (start < cursor_) {
+    // The phases only step forward: replay them from sample 0.
+    cursor_ = 0;
+    coarse_phase_ = 0.0;
+    fine_phase_ = 0.0;
+  }
+  for (; cursor_ < start; ++cursor_) {
+    coarse_phase_ += coarse_cfo_;
+    fine_phase_ += fine_cfo_;
+  }
+  const std::span<const Cx> samples = waveform_.subspan(start, count);
+  buffer_.assign(samples.begin(), samples.end());
+  coarse_phase_ = apply_cfo_correction(buffer_, coarse_cfo_, coarse_phase_);
+  fine_phase_ = apply_cfo_correction(buffer_, fine_cfo_, fine_phase_);
+  cursor_ = start + count;
+  return buffer_;
 }
 
 LegacyRxResult LegacyReceiver::receive(std::span<const Cx> waveform) const {
@@ -227,16 +248,14 @@ LegacyRxResult LegacyReceiver::receive(std::span<const Cx> waveform) const {
     result.status = DecodeStatus::kTruncated;
     return result;
   }
-  const Frontend fe = receive_frontend(waveform);
+  Frontend fe = receive_frontend(waveform);
   if (!fe.ok()) {
     result.status = fe.status;
     return result;
   }
-  const std::span<const Cx> wave(fe.corrected);
 
   // SIG.
-  const CxVec sig_bins =
-      extract_symbol(wave.subspan(fe.data_start, kSymbolLen));
+  const CxVec sig_bins = extract_symbol(fe.window(fe.data_start, kSymbolLen));
   const SymbolEqualization sig_eq = equalize_symbol(sig_bins, fe.h, 0);
   const auto sig = decode_sig(sig_eq.data, sig_eq.gains);
   if (!sig) {
@@ -257,8 +276,8 @@ LegacyRxResult LegacyReceiver::receive(std::span<const Cx> waveform) const {
 
   SoftBits soft;
   soft.reserve(n_sym * m.n_cbps);
-  const CxVec all_bins =
-      extract_symbols(wave.subspan(fe.data_start + kSymbolLen), n_sym);
+  const CxVec all_bins = extract_symbols(
+      fe.window(fe.data_start + kSymbolLen, n_sym * kSymbolLen), n_sym);
   for (std::size_t i = 0; i < n_sym; ++i) {
     const std::span<const Cx> bins(all_bins.data() + i * kFftSize, kFftSize);
     const SymbolEqualization eq = equalize_symbol(bins, fe.h, i + 1);

@@ -92,10 +92,11 @@ class LegacyTransmitter {
                             const Mcs& m) const;
 };
 
-/// Result of the shared preamble front end.
+/// Result of the shared preamble front end. It keeps a view of the
+/// caller's waveform and CFO-corrects samples past the preamble only when
+/// a receiver reads them, through window().
 struct Frontend {
-  CxVec corrected;  ///< CFO-corrected copy of the waveform
-  CxVec h;          ///< initial channel estimate (64 bins)
+  CxVec h;  ///< initial channel estimate (64 bins)
   double cfo_radians_per_sample = 0.0;
   std::size_t data_start = kPreambleLen;  ///< index of the first symbol
   DecodeStatus status = DecodeStatus::kOk;
@@ -106,13 +107,36 @@ struct Frontend {
   [[nodiscard]] bool ok() const noexcept {
     return status == DecodeStatus::kOk;
   }
+
+  /// Samples [start, start + count) of the waveform, CFO-corrected bit for
+  /// bit as a coarse pass and then a fine pass of apply_cfo_correction over
+  /// the whole waveform would leave them, in any order of calls. The span
+  /// is valid until the next call, and the waveform given to
+  /// receive_frontend must outlive it. Throws std::out_of_range for a
+  /// window past the end.
+  [[nodiscard]] std::span<const Cx> window(std::size_t start,
+                                           std::size_t count);
+
+ private:
+  friend Frontend receive_frontend(std::span<const Cx> waveform);
+
+  std::span<const Cx> waveform_;
+  double coarse_cfo_ = 0.0;  ///< radians per sample, each pass's rate
+  double fine_cfo_ = 0.0;
+  // Each pass's phase at sample `cursor_`: its rate added once per sample
+  // from 0, the same `+=` sequence a whole-waveform pass runs.
+  std::size_t cursor_ = 0;
+  double coarse_phase_ = 0.0;
+  double fine_phase_ = 0.0;
+  CxVec buffer_;  ///< the last window (the preamble after the front end)
 };
 
 /// Run STF/LTF processing on a received waveform that starts at sample 0.
-/// Never throws on malformed input: a waveform shorter than the preamble
-/// comes back as kTruncated (with empty estimates) and a destroyed
-/// preamble as kSyncLost; callers check Frontend::ok() before using the
-/// estimates.
+/// Only the preamble is CFO-corrected here; Frontend::window corrects the
+/// rest on demand. Never throws on malformed input: a waveform shorter
+/// than the preamble comes back as kTruncated (with empty estimates) and a
+/// destroyed preamble as kSyncLost; callers check Frontend::ok() before
+/// using the estimates.
 Frontend receive_frontend(std::span<const Cx> waveform);
 
 struct LegacyRxResult {

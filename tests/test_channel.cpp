@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <utility>
 #include <vector>
@@ -8,6 +9,7 @@
 #include "channel/fading.hpp"
 #include "channel/pathloss.hpp"
 #include "channel/shadowing.hpp"
+#include "common/hash.hpp"
 #include "common/stats.hpp"
 #include "common/units.hpp"
 
@@ -149,6 +151,45 @@ TEST(Fading, CfoRotatesPhase) {
   const double measured =
       wrap_angle(std::arg(rx[1100]) - std::arg(rx[500]));
   EXPECT_NEAR(measured, wrap_angle(expected), 0.05);
+}
+
+TEST(Fading, OutputPinned) {
+  // FNV-1a over the bits of every output sample of two frames with an idle
+  // gap between them, so the CFO rotation, the tap recursion and the
+  // timing offset are each held to the exact output.
+  struct Case {
+    double cfo_hz;
+    bool rician;
+    std::size_t timing_offset;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {0.0, false, 0, 0x13f5178aaafb6367ULL},
+      {0.0, true, 7, 0x9835fe68777ff364ULL},
+      {6e3, false, 7, 0xf494105a2e850cfaULL},
+      {6e3, true, 0, 0x3e399f630922de31ULL},
+  };
+  Rng rng(91);
+  CxVec tx(1000);
+  for (Cx& s : tx) s = Cx{rng.gaussian(0.0, 1.0), rng.gaussian(0.0, 1.0)};
+  for (const Case& c : cases) {
+    FadingConfig cfg;
+    cfg.seed = 92;
+    cfg.cfo_hz = c.cfo_hz;
+    cfg.rician_los = c.rician;
+    cfg.timing_offset_samples = c.timing_offset;
+    FadingChannel ch(cfg);
+    std::uint64_t h = kFnv1aBasis;
+    for (int frame = 0; frame < 2; ++frame) {
+      for (const Cx& s : ch.transmit(tx)) {
+        h = fnv1a64_u64(std::bit_cast<std::uint64_t>(s.real()), h);
+        h = fnv1a64_u64(std::bit_cast<std::uint64_t>(s.imag()), h);
+      }
+      ch.idle(1e-5);  // 200 samples: the next frame starts mid-update
+    }
+    EXPECT_EQ(h, c.digest) << "cfo " << c.cfo_hz << " rician " << c.rician
+                           << " offset " << c.timing_offset;
+  }
 }
 
 TEST(Fading, RicianHasSmallerFadeDepth) {

@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "carpool/transceiver.hpp"
 #include "channel/awgn.hpp"
@@ -333,6 +338,118 @@ TEST(DecodeHardening, FrontendReportsSyncLostOnNoise) {
   const Frontend good = receive_frontend(preamble_waveform());
   EXPECT_TRUE(good.ok());
   EXPECT_GT(good.sync_quality, 0.9);
+}
+
+// ------------------------------------------- on-demand CFO correction
+
+/// Three subframes; the walk for kSelf skips the first and the last.
+std::vector<SubframeSpec> mixed_subframes() {
+  Rng rng(73);
+  const MacAddress receivers[] = {kOther, kSelf, kOther};
+  const std::size_t bytes[] = {300, 120, 200};
+  const std::size_t mcs_index[] = {4, 2, 6};
+  std::vector<SubframeSpec> subframes(3);
+  for (std::size_t i = 0; i < subframes.size(); ++i) {
+    subframes[i].receiver = receivers[i];
+    subframes[i].psdu = append_fcs(random_psdu(bytes[i], rng));
+    subframes[i].mcs_index = mcs_index[i];
+  }
+  return subframes;
+}
+
+CxVec cfo_capture(std::span<const SubframeSpec> subframes) {
+  FadingConfig fc;
+  fc.cfo_hz = 8e3;
+  fc.seed = 74;
+  FadingChannel channel(fc);
+  return channel.transmit(CarpoolTransmitter().build(subframes));
+}
+
+/// The front end's correction as two passes over the whole capture: the
+/// coarse STF estimate, then the fine LTF estimate of the coarse-corrected
+/// capture.
+CxVec corrected_whole_capture(std::span<const Cx> wave) {
+  CxVec out(wave.begin(), wave.end());
+  const double coarse =
+      estimate_coarse_cfo(std::span<const Cx>(out).first(kStfLen));
+  apply_cfo_correction(out, coarse);
+  const double fine =
+      estimate_fine_cfo(std::span<const Cx>(out).subspan(kStfLen, kLtfLen));
+  apply_cfo_correction(out, fine);
+  return out;
+}
+
+/// Samples of `got` whose bits differ from want[start, start + size).
+std::size_t bit_mismatches(std::span<const Cx> got, std::span<const Cx> want,
+                           std::size_t start) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const Cx& w = want[start + i];
+    if (bits(got[i].real()) != bits(w.real()) ||
+        bits(got[i].imag()) != bits(w.imag())) {
+      ++bad;
+    }
+  }
+  return bad;
+}
+
+TEST(FrontendWindow, ReceiverWalkMatchesWholeCapturePasses) {
+  const std::vector<SubframeSpec> subframes = mixed_subframes();
+  const CxVec wave = cfo_capture(subframes);
+  const CxVec want = corrected_whole_capture(wave);
+  Frontend fe = receive_frontend(wave);
+  ASSERT_TRUE(fe.ok());
+  // The Carpool receiver's reads for kSelf: both A-HDR symbols, then per
+  // subframe its SIG and either all its data symbols (subframe 1) or only
+  // the last one (skipped).
+  std::vector<std::pair<std::size_t, std::size_t>> reads{
+      {kPreambleLen, kSymbolLen}, {kPreambleLen + kSymbolLen, kSymbolLen}};
+  std::size_t pos = kPreambleLen + 2 * kSymbolLen;
+  for (std::size_t k = 0; k < subframes.size(); ++k) {
+    const std::size_t n_sym = num_data_symbols(
+        mcs(subframes[k].mcs_index), subframes[k].psdu.size());
+    reads.emplace_back(pos, kSymbolLen);
+    if (k == 1) {
+      reads.emplace_back(pos + kSymbolLen, n_sym * kSymbolLen);
+    } else {
+      reads.emplace_back(pos + n_sym * kSymbolLen, kSymbolLen);
+    }
+    pos += (1 + n_sym) * kSymbolLen;
+  }
+  ASSERT_EQ(pos, wave.size());
+  for (const auto& [start, count] : reads) {
+    const std::span<const Cx> got = fe.window(start, count);
+    ASSERT_EQ(got.size(), count);
+    EXPECT_EQ(bit_mismatches(got, want, start), 0u) << "start " << start;
+  }
+  const CarpoolRxResult rx = CarpoolReceiver(self_rx_config()).receive(wave);
+  ASSERT_EQ(rx.subframes.size(), 1u);
+  EXPECT_TRUE(rx.subframes[0].fcs_ok);
+}
+
+TEST(FrontendWindow, ShuffledWindowsLastSampleAndPastEnd) {
+  const CxVec wave = cfo_capture(mixed_subframes());
+  const CxVec want = corrected_whole_capture(wave);
+  Frontend fe = receive_frontend(wave);
+  ASSERT_TRUE(fe.ok());
+  // Random starts, most behind the previous window's end, so the phases
+  // replay from sample 0; the preamble is among them.
+  Rng rng(75);
+  for (int i = 0; i < 200; ++i) {
+    const std::size_t start = rng.uniform_int(wave.size());
+    const std::size_t count =
+        1 + rng.uniform_int(std::min<std::size_t>(400, wave.size() - start));
+    EXPECT_EQ(bit_mismatches(fe.window(start, count), want, start), 0u)
+        << "start " << start << " count " << count;
+  }
+  EXPECT_EQ(bit_mismatches(fe.window(0, kPreambleLen), want, 0), 0u);
+  const std::size_t last = wave.size() - 1;
+  EXPECT_EQ(bit_mismatches(fe.window(last, 1), want, last), 0u);
+  EXPECT_TRUE(fe.window(wave.size(), 0).empty());
+  EXPECT_THROW((void)fe.window(last, 2), std::out_of_range);
+  EXPECT_THROW((void)fe.window(wave.size(), 1), std::out_of_range);
+  EXPECT_THROW((void)fe.window(wave.size() + 1, 0), std::out_of_range);
 }
 
 TEST(DecodeHardening, LegacyReceiverStatusCodes) {

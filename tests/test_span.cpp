@@ -150,22 +150,22 @@ TEST(SpanMerge, RemapsIdsPastWatermark) {
 }
 
 TEST(SpanMerge, FingerprintIgnoresWallClock) {
-  obs::SpanCollector a;
-  obs::SpanCollector b;
-  for (obs::SpanCollector* c : {&a, &b}) {
+  const auto decode = [](std::uint64_t wall_start_ns, std::uint64_t wall_ns,
+                         std::string outcome) {
     obs::SpanRecord r;
     r.name = "decode";
-    r.outcome = "ok";
-    r.wall_start_ns = (c == &a) ? 100u : 999999u;  // differs
-    r.wall_ns = (c == &a) ? 10u : 777u;            // differs
-    c->emit(std::move(r));
-  }
+    r.wall_start_ns = wall_start_ns;
+    r.wall_ns = wall_ns;
+    r.outcome = std::move(outcome);
+    return r;
+  };
+  obs::SpanCollector a;
+  obs::SpanCollector b;
+  a.emit(decode(100, 10, "ok"));
+  b.emit(decode(999999, 777, "ok"));  // wall clock differs
   EXPECT_EQ(a.fingerprint(), b.fingerprint());
   obs::SpanCollector c;
-  obs::SpanRecord r;
-  r.name = "decode";
-  r.outcome = "failed";  // deterministic surface differs
-  c.emit(std::move(r));
+  c.emit(decode(0, 0, "failed"));  // deterministic surface differs
   EXPECT_NE(a.fingerprint(), c.fingerprint());
 }
 
