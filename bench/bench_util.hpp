@@ -19,7 +19,6 @@
 #include "common/stats.hpp"
 #include "dsp/kernels.hpp"
 #include "obs/registry.hpp"
-#include "obs/stats_writer.hpp"
 #include "phy/frame.hpp"
 #include "sim/testbed.hpp"
 
@@ -48,7 +47,7 @@ inline std::string bench_output_dir() {
 /// latency histograms (Viterbi, FFT/OFDM, equalizer, A-HDR) accumulated by
 /// the instrumented hot paths — as BENCH_<name>.json (schema_version 2
 /// with per-metric metadata, see docs/OBSERVABILITY.md) plus a columnar
-/// BENCH_<name>.csv (obs::StatsWriter). The printed tables stay the
+/// BENCH_<name>.csv (Registry::to_csv). The printed tables stay the
 /// human-readable view; the JSON is what tooling and perf regressions
 /// diff. Both land in $CARPOOL_BENCH_DIR when set, else the CWD.
 inline void write_metrics(const std::string& name) {
@@ -62,7 +61,7 @@ inline void write_metrics(const std::string& name) {
     std::fprintf(stderr, "warning: could not write %s\n", path.c_str());
   }
   const std::string csv_path = base + ".csv";
-  if (obs::StatsWriter::write_csv(csv_path, obs::Registry::global())) {
+  if (obs::Registry::global().write_csv(csv_path)) {
     std::printf("metrics csv: %s\n", csv_path.c_str());
   } else {
     std::fprintf(stderr, "warning: could not write %s\n", csv_path.c_str());

@@ -13,43 +13,11 @@
 
 #include "common/hash.hpp"
 #include "common/json.hpp"
+#include "obs/registry.hpp"
 #include "obs/span.hpp"
 
 namespace carpool::chaos {
 namespace {
-
-// ------------------------------------------------------- field readers
-// All return false (and fill `err` with a dotted path) on shape errors,
-// so checkpoint_from_json never throws.
-
-bool want_u64(const JsonValue* v, const char* path, std::uint64_t& out,
-              ScenarioError& err) {
-  if (!json_to_u64(v, out)) {
-    err = {path, "expected a non-negative integer (<= 2^53)"};
-    return false;
-  }
-  return true;
-}
-
-bool want_double(const JsonValue* v, const char* path, double& out,
-                 ScenarioError& err) {
-  if (v == nullptr || !v->is_number()) {
-    err = {path, "expected a number"};
-    return false;
-  }
-  out = v->as_number();
-  return true;
-}
-
-bool want_string(const JsonValue* v, const char* path, std::string& out,
-                 ScenarioError& err) {
-  if (v == nullptr || !v->is_string()) {
-    err = {path, "expected a string"};
-    return false;
-  }
-  out = v->as_string();
-  return true;
-}
 
 JsonValue episode_to_value(const EpisodeSummary& e) {
   JsonObject o;
@@ -89,7 +57,7 @@ std::uint64_t soak_options_digest(const SoakOptions& opts) {
 std::string checkpoint_to_json(const CampaignCheckpoint& ck) {
   JsonObject root;
   json_set(root, "schema_version",
-           JsonValue(static_cast<double>(ck.schema_version)));
+           JsonValue(static_cast<double>(kCheckpointSchemaVersion)));
   json_set(root, "scenario_name", JsonValue(ck.scenario_name));
   json_set(root, "scenario_digest",
            JsonValue(json_hex_u64(ck.scenario_digest)));
@@ -119,39 +87,7 @@ std::string checkpoint_to_json(const CampaignCheckpoint& ck) {
   }
   json_set(root, "margins", JsonValue(std::move(margins)));
 
-  JsonObject counters;
-  for (const auto& row : ck.registry.counters) {
-    json_set(counters, row.name, JsonValue(static_cast<double>(row.value)));
-  }
-  JsonObject gauges;
-  for (const auto& row : ck.registry.gauges) {
-    json_set(gauges, row.name, JsonValue(row.value));
-  }
-  JsonObject histograms;
-  for (const auto& row : ck.registry.histograms) {
-    JsonObject hist;
-    json_set(hist, "unit", JsonValue(row.unit));
-    json_set(hist, "count", JsonValue(static_cast<double>(row.count)));
-    json_set(hist, "sum", JsonValue(row.sum));
-    json_set(hist, "min", JsonValue(row.min));
-    json_set(hist, "max", JsonValue(row.max));
-    JsonArray bounds;
-    bounds.reserve(row.bounds.size());
-    for (const double b : row.bounds) bounds.push_back(JsonValue(b));
-    json_set(hist, "bounds", JsonValue(std::move(bounds)));
-    JsonArray buckets;
-    buckets.reserve(row.buckets.size());
-    for (const std::uint64_t b : row.buckets) {
-      buckets.push_back(JsonValue(static_cast<double>(b)));
-    }
-    json_set(hist, "buckets", JsonValue(std::move(buckets)));
-    json_set(histograms, row.name, JsonValue(std::move(hist)));
-  }
-  JsonObject registry;
-  json_set(registry, "counters", JsonValue(std::move(counters)));
-  json_set(registry, "gauges", JsonValue(std::move(gauges)));
-  json_set(registry, "histograms", JsonValue(std::move(histograms)));
-  json_set(root, "registry", JsonValue(std::move(registry)));
+  json_set(root, "registry", ck.registry);
 
   return json_dump(JsonValue(std::move(root)));
 }
@@ -164,201 +100,79 @@ CheckpointParseResult checkpoint_from_json(std::string_view text) {
     return result;
   }
   const JsonValue& root = *parsed.value;
-  if (!root.is_object()) {
-    result.error = {"", "checkpoint root must be an object"};
+  JsonReader in;
+  std::uint64_t version = 0;
+  if (read_uint(in, root, "", "schema_version", version, true) &&
+      version != static_cast<std::uint64_t>(kCheckpointSchemaVersion)) {
+    in.fail("schema_version",
+            std::to_string(version) + " (want " +
+                std::to_string(kCheckpointSchemaVersion) + ")");
+  }
+  if (in.failed) {  // another version's fields would only mislead
+    result.error = in.error;
     return result;
   }
 
   CampaignCheckpoint ck;
-  ScenarioError err;
-  std::uint64_t u = 0;
-  if (!want_u64(root.find("schema_version"), "schema_version", u, err)) {
-    result.error = err;
-    return result;
-  }
-  ck.schema_version = static_cast<std::int64_t>(u);
-  if (!want_string(root.find("scenario_name"), "scenario_name",
-                   ck.scenario_name, err)) {
-    result.error = err;
-    return result;
-  }
-  if (!json_from_hex_u64(root.find("scenario_digest"), ck.scenario_digest)) {
-    result.error = {"scenario_digest", "expected a 0x-prefixed hex string"};
-    return result;
-  }
-  if (!json_from_hex_u64(root.find("options_digest"), ck.options_digest)) {
-    result.error = {"options_digest", "expected a 0x-prefixed hex string"};
-    return result;
-  }
-  if (!want_u64(root.find("repeats_done"), "repeats_done", u, err)) {
-    result.error = err;
-    return result;
-  }
-  ck.repeats_done = static_cast<std::size_t>(u);
-  if (!want_u64(root.find("frames_judged"), "frames_judged",
-                ck.frames_judged, err) ||
-      !want_u64(root.find("steps"), "steps", ck.steps, err) ||
-      !want_u64(root.find("probes"), "probes", ck.probes, err)) {
-    result.error = err;
-    return result;
-  }
-  if (!want_u64(root.find("episodes_run"), "episodes_run", u, err)) {
-    result.error = err;
-    return result;
-  }
-  ck.episodes_run = static_cast<std::size_t>(u);
-  if (!want_double(root.find("sim_seconds"), "sim_seconds", ck.sim_seconds,
-                   err) ||
-      !want_u64(root.find("span_watermark"), "span_watermark",
-                ck.span_watermark, err)) {
-    result.error = err;
-    return result;
+  std::uint64_t repeats_done = 0;
+  std::uint64_t episodes_run = 0;
+  read_string(in, root, "", "scenario_name", ck.scenario_name, true);
+  read_hex_u64(in, root, "", "scenario_digest", ck.scenario_digest, true);
+  read_hex_u64(in, root, "", "options_digest", ck.options_digest, true);
+  read_uint(in, root, "", "repeats_done", repeats_done, true);
+  read_uint(in, root, "", "frames_judged", ck.frames_judged, true);
+  read_uint(in, root, "", "steps", ck.steps, true);
+  read_uint(in, root, "", "probes", ck.probes, true);
+  read_uint(in, root, "", "episodes_run", episodes_run, true);
+  read_number(in, root, "", "sim_seconds", ck.sim_seconds, true);
+  read_uint(in, root, "", "span_watermark", ck.span_watermark, true);
+  ck.repeats_done = static_cast<std::size_t>(repeats_done);
+  ck.episodes_run = static_cast<std::size_t>(episodes_run);
+
+  if (const JsonValue* episodes = read_member(
+          in, root, "", "episodes", JsonValue::Kind::kArray, true)) {
+    for (std::size_t i = 0; i < episodes->as_array().size(); ++i) {
+      const JsonValue& ev = episodes->as_array()[i];
+      const std::string path = "episodes[" + std::to_string(i) + "].";
+      EpisodeSummary& e = ck.episodes.emplace_back();
+      std::uint64_t index = 0;
+      std::uint64_t repeat = 0;
+      read_uint(in, ev, path, "index", index, true);
+      read_uint(in, ev, path, "repeat", repeat, true);
+      read_number(in, ev, path, "start", e.start, true);
+      read_number(in, ev, path, "stop", e.stop, true);
+      read_number(in, ev, path, "intensity", e.intensity, true);
+      read_number(in, ev, path, "goodput_bps", e.goodput_bps, true);
+      read_uint(in, ev, path, "frames_judged", e.frames_judged, true);
+      e.index = static_cast<std::size_t>(index);
+      e.repeat = static_cast<std::size_t>(repeat);
+    }
   }
 
-  const JsonValue* episodes = root.find("episodes");
-  if (episodes == nullptr || !episodes->is_array()) {
-    result.error = {"episodes", "expected an array"};
-    return result;
-  }
-  for (const JsonValue& ev : episodes->as_array()) {
-    if (!ev.is_object()) {
-      result.error = {"episodes[]", "expected an object"};
-      return result;
+  if (const JsonValue* margins = read_member(
+          in, root, "", "margins", JsonValue::Kind::kObject, true)) {
+    for (const auto& [name, mv] : margins->as_object()) {
+      read_number(in, *margins, "margins.", name,
+                  ck.margins.emplace_back(name, 0.0).second, true);
     }
-    EpisodeSummary e;
-    if (!want_u64(ev.find("index"), "episodes[].index", u, err)) {
-      result.error = err;
-      return result;
-    }
-    e.index = static_cast<std::size_t>(u);
-    if (!want_u64(ev.find("repeat"), "episodes[].repeat", u, err)) {
-      result.error = err;
-      return result;
-    }
-    e.repeat = static_cast<std::size_t>(u);
-    if (!want_double(ev.find("start"), "episodes[].start", e.start, err) ||
-        !want_double(ev.find("stop"), "episodes[].stop", e.stop, err) ||
-        !want_double(ev.find("intensity"), "episodes[].intensity",
-                     e.intensity, err) ||
-        !want_double(ev.find("goodput_bps"), "episodes[].goodput_bps",
-                     e.goodput_bps, err) ||
-        !want_u64(ev.find("frames_judged"), "episodes[].frames_judged",
-                  e.frames_judged, err)) {
-      result.error = err;
-      return result;
-    }
-    ck.episodes.push_back(e);
   }
 
-  const JsonValue* margins = root.find("margins");
-  if (margins == nullptr || !margins->is_object()) {
-    result.error = {"margins", "expected an object"};
-    return result;
-  }
-  for (const auto& [name, mv] : margins->as_object()) {
-    if (!mv.is_number()) {
-      result.error = {"margins." + name, "expected a number"};
-      return result;
-    }
-    ck.margins.emplace_back(name, mv.as_number());
-  }
-
-  const JsonValue* registry = root.find("registry");
-  if (registry == nullptr || !registry->is_object()) {
-    result.error = {"registry", "expected an object"};
-    return result;
-  }
-  const JsonValue* counters = registry->find("counters");
-  if (counters == nullptr || !counters->is_object()) {
-    result.error = {"registry.counters", "expected an object"};
-    return result;
-  }
-  for (const auto& [name, cv] : counters->as_object()) {
-    obs::MetricsSnapshot::CounterRow row;
-    row.name = name;
-    if (!json_to_u64(&cv, row.value)) {
-      result.error = {"registry.counters." + name,
-                      "expected a non-negative integer (<= 2^53)"};
-      return result;
-    }
-    ck.registry.counters.push_back(std::move(row));
-  }
-  const JsonValue* gauges = registry->find("gauges");
-  if (gauges == nullptr || !gauges->is_object()) {
-    result.error = {"registry.gauges", "expected an object"};
-    return result;
-  }
-  for (const auto& [name, gv] : gauges->as_object()) {
-    if (!gv.is_number()) {
-      result.error = {"registry.gauges." + name, "expected a number"};
-      return result;
-    }
-    obs::MetricsSnapshot::GaugeRow row;
-    row.name = name;
-    row.value = gv.as_number();
-    ck.registry.gauges.push_back(std::move(row));
-  }
-  const JsonValue* histograms = registry->find("histograms");
-  if (histograms == nullptr || !histograms->is_object()) {
-    result.error = {"registry.histograms", "expected an object"};
-    return result;
-  }
-  for (const auto& [name, hv] : histograms->as_object()) {
-    if (!hv.is_object()) {
-      result.error = {"registry.histograms." + name, "expected an object"};
-      return result;
-    }
-    obs::MetricsSnapshot::HistogramRow row;
-    row.name = name;
-    if (!want_string(hv.find("unit"), "registry.histograms[].unit",
-                     row.unit, err) ||
-        !want_u64(hv.find("count"), "registry.histograms[].count",
-                  row.count, err) ||
-        !want_double(hv.find("sum"), "registry.histograms[].sum", row.sum,
-                     err) ||
-        !want_double(hv.find("min"), "registry.histograms[].min", row.min,
-                     err) ||
-        !want_double(hv.find("max"), "registry.histograms[].max", row.max,
-                     err)) {
-      result.error = err;
-      return result;
-    }
-    const JsonValue* bounds = hv.find("bounds");
-    const JsonValue* buckets = hv.find("buckets");
-    if (bounds == nullptr || !bounds->is_array() || buckets == nullptr ||
-        !buckets->is_array()) {
-      result.error = {"registry.histograms." + name,
-                      "expected bounds/buckets arrays"};
-      return result;
-    }
-    for (const JsonValue& b : bounds->as_array()) {
-      if (!b.is_number()) {
-        result.error = {"registry.histograms." + name + ".bounds",
-                        "expected numbers"};
-        return result;
-      }
-      row.bounds.push_back(b.as_number());
-    }
-    for (const JsonValue& b : buckets->as_array()) {
-      std::uint64_t bucket = 0;
-      if (!json_to_u64(&b, bucket)) {
-        result.error = {"registry.histograms." + name + ".buckets",
-                        "expected non-negative integers (<= 2^53)"};
-        return result;
-      }
-      row.buckets.push_back(bucket);
-    }
-    if (row.buckets.size() != row.bounds.size() + 1) {
-      result.error = {"registry.histograms." + name,
-                      "buckets must have bounds+1 entries"};
-      return result;
-    }
-    row.mean = row.count == 0
-                   ? 0.0
-                   : row.sum / static_cast<double>(row.count);
-    ck.registry.histograms.push_back(std::move(row));
+  // The registry section is checked by the code that reads it back, on
+  // a throwaway registry, so a resume never starts on a section that
+  // Registry::restore would refuse.
+  if (const JsonValue* registry = read_member(
+          in, root, "", "registry", JsonValue::Kind::kObject, true);
+      registry != nullptr && !in.failed) {
+    obs::Registry scratch;
+    std::string error;
+    if (!scratch.restore(*registry, error)) in.fail("registry", error);
+    ck.registry = *registry;
   }
 
+  if (in.failed) {
+    result.error = in.error;
+    return result;
+  }
   result.checkpoint = std::move(ck);
   return result;
 }
@@ -463,7 +277,7 @@ CampaignCheckpoint make_checkpoint(const Scenario& scenario,
   for (const auto& [name, margin] : report.margins.minima()) {
     ck.margins.emplace_back(name, margin);
   }
-  ck.registry = obs::Registry::current().snapshot();
+  ck.registry = *json_parse(obs::Registry::current().to_json()).value;
   if (const obs::SpanCollector* spans = obs::SpanCollector::current();
       spans != nullptr) {
     ck.span_watermark = spans->allocated();

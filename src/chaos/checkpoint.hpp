@@ -4,11 +4,11 @@
 //
 // A CampaignCheckpoint is everything a frame-budget soak campaign has
 // accumulated after N completed timeline repeats: the report counters,
-// every episode summary, the invariant-margin minima, a full snapshot of
-// the ambient obs::Registry, and the span-id watermark. The runner
-// flushes one atomically (write-to-temp + rename) every
-// `checkpoint_every` repeats; `soak --resume` reloads it, restores the
-// registry/margins/report state, and continues from repeat N — and
+// every episode summary, the invariant-margin minima, the ambient
+// obs::Registry in its own BENCH_*.json export, and the span-id
+// watermark. The runner flushes one atomically (write-to-temp + rename)
+// every `checkpoint_every` repeats; `soak --resume` reloads it, restores
+// the registry/margins/report state, and continues from repeat N — and
 // because repeats derive their seeds purely from (scenario seed,
 // repeat), the resumed campaign's final metrics fingerprint is
 // bit-identical to an uninterrupted run's, at any thread count.
@@ -16,8 +16,9 @@
 // The file is versioned (`schema_version`) and self-validating: it
 // records digests of the scenario and of the semantic soak options, so a
 // checkpoint can never silently resume a *different* campaign. Parsing
-// never throws; a bad or mismatched file yields a structured error the
-// caller surfaces (and then starts fresh or aborts, its choice).
+// never throws; a bad or mismatched file, a registry section included,
+// yields a structured error the caller surfaces (and then starts fresh
+// or aborts, its choice).
 
 #include <cstdint>
 #include <optional>
@@ -28,17 +29,17 @@
 
 #include "chaos/runner.hpp"
 #include "chaos/scenario.hpp"
-#include "obs/registry.hpp"
+#include "common/json.hpp"
 
 namespace carpool::chaos {
 
-/// Bump when the checkpoint JSON layout changes; a resume against a
-/// different version is rejected (restart fresh rather than misread).
-inline constexpr std::int64_t kCheckpointSchemaVersion = 1;
+/// Bump when the checkpoint JSON layout changes; the parser rejects any
+/// other version (restart fresh rather than misread). Version 2 carries
+/// the registry as its to_json() export.
+inline constexpr std::int64_t kCheckpointSchemaVersion = 2;
 
 /// Resumable campaign state after `repeats_done` completed repeats.
 struct CampaignCheckpoint {
-  std::int64_t schema_version = kCheckpointSchemaVersion;
   std::string scenario_name;
   std::uint64_t scenario_digest = 0;  ///< FNV-1a over scenario_to_json
   std::uint64_t options_digest = 0;   ///< semantic SoakOptions knobs only
@@ -53,10 +54,11 @@ struct CampaignCheckpoint {
   std::vector<EpisodeSummary> episodes;
   /// MarginTracker minima, (invariant, min margin) in map order.
   std::vector<std::pair<std::string, double>> margins;
-  /// Full ambient-registry snapshot (counters/gauges/histograms with raw
-  /// buckets). Counter values above 2^53 would lose precision in JSON;
-  /// campaign counters sit many orders of magnitude below that.
-  obs::MetricsSnapshot registry;
+  /// The ambient registry's Registry::to_json() export, which
+  /// Registry::restore reads back. Counter values above 2^53 would lose
+  /// precision in JSON; campaign counters sit many orders of magnitude
+  /// below that.
+  JsonValue registry;
   /// SpanCollector::allocated() at checkpoint time, so resumed runs
   /// allocate span ids past the interrupted run's.
   std::uint64_t span_watermark = 0;
@@ -77,14 +79,15 @@ struct CampaignCheckpoint {
 
 struct CheckpointParseResult {
   std::optional<CampaignCheckpoint> checkpoint;
-  ScenarioError error;  ///< meaningful iff !checkpoint
+  JsonPathError error;  ///< meaningful iff !checkpoint
 
   [[nodiscard]] bool ok() const noexcept { return checkpoint.has_value(); }
 };
 
-/// Parse a checkpoint document. Never throws; structural problems yield
-/// a dotted-path error. (Digest *matching* is the caller's job — the
-/// parser only decodes.)
+/// Parse a checkpoint document. Never throws; structural problems, a
+/// schema_version other than kCheckpointSchemaVersion and a registry
+/// section that Registry::restore refuses yield a dotted-path error.
+/// (Digest *matching* is the caller's job — the parser only decodes.)
 [[nodiscard]] CheckpointParseResult checkpoint_from_json(
     std::string_view text);
 
@@ -111,7 +114,7 @@ struct CheckpointParseResult {
                                          const CampaignCheckpoint& ck);
 
 /// Assemble a checkpoint from live campaign state: `report` as
-/// accumulated so far, the ambient Registry::current() snapshot, and the
+/// accumulated so far, the ambient Registry::current() export, and the
 /// ambient span collector's watermark (0 when tracing is off).
 [[nodiscard]] CampaignCheckpoint make_checkpoint(const Scenario& scenario,
                                                  const SoakOptions& opts,

@@ -250,15 +250,17 @@ constexpr std::size_t kNumOps = std::size(kOps);
 }  // namespace
 
 std::uint64_t coverage_signature(const obs::Registry& reg) {
-  const obs::MetricsSnapshot snap = reg.snapshot();
+  const JsonParseResult exported = json_parse(reg.to_json());
   std::uint64_t h = kFnv1aBasis;
   // Counters only: gauges can carry wall-clock-adjacent values and
   // histograms are explicitly nondeterministic; counters are the
   // deterministic event surface (the same one fingerprint() digests).
-  for (const auto& row : snap.counters) {
-    if (row.value == 0) continue;
-    h = fnv1a64(row.name, h);
-    h = fnv1a64_u64(static_cast<std::uint64_t>(std::bit_width(row.value)), h);
+  // The export lists them in name order, as exact integers.
+  for (const auto& [name, v] : exported.value->find("counters")->as_object()) {
+    const auto value = static_cast<std::uint64_t>(v.as_number());
+    if (value == 0) continue;
+    h = fnv1a64(name, h);
+    h = fnv1a64_u64(static_cast<std::uint64_t>(std::bit_width(value)), h);
   }
   return h;
 }
@@ -372,63 +374,56 @@ bool fuzz_state_from_json(std::string_view text, std::uint64_t fuzz_seed,
     return false;
   }
   const JsonValue& root = *parsed.value;
+  JsonReader in;
   std::uint64_t version = 0;
-  if (!json_to_u64(root.find("schema_version"), version) ||
-      version != static_cast<std::uint64_t>(kFuzzStateSchemaVersion)) {
-    error = "fuzz state: unsupported schema_version";
-    return false;
-  }
   std::uint64_t seed = 0;
-  if (!json_from_hex_u64(root.find("fuzz_seed"), seed)) {
-    error = "fuzz state: bad fuzz_seed";
-    return false;
+  if (read_uint(in, root, "", "schema_version", version, true) &&
+      version != static_cast<std::uint64_t>(kFuzzStateSchemaVersion)) {
+    in.fail("schema_version", "unsupported");
   }
-  if (seed != fuzz_seed) {
-    error = "fuzz state: seed mismatch (state is for --fuzz-seed " +
-            std::to_string(seed) + ")";
-    return false;
+  if (read_hex_u64(in, root, "", "fuzz_seed", seed, true) &&
+      seed != fuzz_seed) {
+    in.fail("fuzz_seed", "seed mismatch (state is for --fuzz-seed " +
+                             std::to_string(seed) + ")");
   }
   std::uint64_t rounds = 0;
   std::uint64_t evals = 0;
   std::uint64_t adds = 0;
-  const JsonValue* corpus = root.find("corpus");
-  if (!json_to_u64(root.find("rounds_run"), rounds) ||
-      !json_to_u64(root.find("evals"), evals) ||
-      !json_to_u64(root.find("corpus_adds"), adds) || corpus == nullptr ||
-      !corpus->is_array()) {
-    error = "fuzz state: missing campaign fields";
+  read_uint(in, root, "", "rounds_run", rounds, true);
+  read_uint(in, root, "", "evals", evals, true);
+  read_uint(in, root, "", "corpus_adds", adds, true);
+  std::vector<CorpusEntry> corpus;
+  const JsonValue* entries =
+      read_member(in, root, "", "corpus", JsonValue::Kind::kArray, true);
+  const std::size_t size = entries != nullptr ? entries->as_array().size() : 0;
+  for (std::size_t i = 0; i < size && !in.failed; ++i) {
+    const JsonValue& ev = entries->as_array()[i];
+    const std::string path = "corpus[" + std::to_string(i) + "].";
+    CorpusEntry& entry = corpus.emplace_back();
+    std::uint64_t round = 0;
+    read_hex_u64(in, ev, path, "signature", entry.signature, true);
+    read_number(in, ev, path, "min_margin", entry.min_margin, true);
+    read_uint(in, ev, path, "round", round, true);
+    read_string(in, ev, path, "op", entry.op, true);
+    entry.round = static_cast<std::size_t>(round);
+    if (const JsonValue* scenario = read_member(
+            in, ev, path, "scenario", JsonValue::Kind::kObject, true)) {
+      const ScenarioParseResult sp = scenario_from_value(*scenario);
+      if (sp.ok()) {
+        entry.scenario = *sp.scenario;
+      } else {
+        in.fail(path + "scenario", sp.error.to_string());
+      }
+    }
+  }
+  if (in.failed) {
+    error = "fuzz state: " + in.error.to_string();
     return false;
   }
   report.rounds_run = static_cast<std::size_t>(rounds);
   report.evals = evals;
   report.corpus_adds = adds;
-  for (const JsonValue& ev : corpus->as_array()) {
-    CorpusEntry entry;
-    if (!json_from_hex_u64(ev.find("signature"), entry.signature)) {
-      error = "fuzz state: corpus entry with bad signature";
-      return false;
-    }
-    const JsonValue* margin = ev.find("min_margin");
-    const JsonValue* op = ev.find("op");
-    const JsonValue* scenario = ev.find("scenario");
-    std::uint64_t round = 0;
-    if (margin == nullptr || !margin->is_number() ||
-        !json_to_u64(ev.find("round"), round) || op == nullptr ||
-        !op->is_string() || scenario == nullptr) {
-      error = "fuzz state: malformed corpus entry";
-      return false;
-    }
-    entry.min_margin = margin->as_number();
-    entry.round = static_cast<std::size_t>(round);
-    entry.op = op->as_string();
-    const ScenarioParseResult sp = scenario_from_value(*scenario);
-    if (!sp.ok()) {
-      error = "fuzz state: corpus scenario: " + sp.error.to_string();
-      return false;
-    }
-    entry.scenario = *sp.scenario;
-    report.corpus.push_back(std::move(entry));
-  }
+  report.corpus = std::move(corpus);
   return true;
 }
 

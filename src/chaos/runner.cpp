@@ -16,7 +16,6 @@
 #include "chaos/checkpoint.hpp"
 #include "channel/shadowing.hpp"
 #include "impair/impair.hpp"
-#include "mac/domain_sim.hpp"
 #include "mac/simulator.hpp"
 #include "obs/registry.hpp"
 #include "par/par.hpp"
@@ -794,13 +793,6 @@ SoakReport SoakRunner::run(const Scenario& scenario) const {
         return report;
       }
       const CampaignCheckpoint& ck = *parsed.checkpoint;
-      if (ck.schema_version != kCheckpointSchemaVersion) {
-        report.resume_error =
-            ck_path + ": schema_version " +
-            std::to_string(ck.schema_version) + " (want " +
-            std::to_string(kCheckpointSchemaVersion) + ")";
-        return report;
-      }
       if (ck.scenario_digest != scenario_digest(s)) {
         report.resume_error =
             ck_path + ": scenario digest mismatch (checkpoint is for a "
@@ -811,6 +803,13 @@ SoakReport SoakRunner::run(const Scenario& scenario) const {
         report.resume_error =
             ck_path + ": options digest mismatch (campaign knobs "
                       "changed since the checkpoint)";
+        return report;
+      }
+      // Checked in full before it changes a metric; the ambient registry
+      // can still refuse a histogram it holds with other bounds.
+      std::string registry_error;
+      if (!obs::Registry::current().restore(ck.registry, registry_error)) {
+        report.resume_error = ck_path + ": registry: " + registry_error;
         return report;
       }
       report.resumed = true;
@@ -825,7 +824,6 @@ SoakReport SoakRunner::run(const Scenario& scenario) const {
       for (const auto& [name, margin] : ck.margins) {
         report.margins.observe(name, margin);
       }
-      obs::Registry::current().restore(ck.registry);
       if (obs::SpanCollector* sc = obs::SpanCollector::current();
           sc != nullptr) {
         sc->restore_allocated(ck.span_watermark);
@@ -1021,55 +1019,29 @@ BundleParseResult bundle_from_json(std::string_view text) {
     return out;
   }
   const JsonValue& root = *doc.value;
-  if (!root.is_object()) {
-    out.error.message = "bundle must be a JSON object";
-    return out;
-  }
-  const JsonValue* v = root.find("violation");
-  if (v == nullptr || !v->is_object()) {
-    out.error.path = "violation";
-    out.error.message = "required object missing";
-    return out;
-  }
+  // `invariant` and `frame` are required; `detail`, `time`, `episode`
+  // and `repeat` are optional, but a present value must be valid.
+  JsonReader in;
   ReproBundle bundle;
-  const JsonValue* inv = v->find("invariant");
-  if (inv == nullptr || !inv->is_string()) {
-    out.error.path = "violation.invariant";
-    out.error.message = "expected a string";
-    return out;
-  }
-  bundle.violation.invariant = inv->as_string();
-  if (const JsonValue* d = v->find("detail");
-      d != nullptr && d->is_string()) {
-    bundle.violation.detail = d->as_string();
-  }
-  // `frame` is required; `episode` and `repeat` are optional, but a
-  // present value must be a valid index.
-  const auto read_index = [&](const char* key, bool required,
-                              std::uint64_t& n) {
-    const JsonValue* f = v->find(key);
-    if ((f == nullptr && !required) || json_to_u64(f, n)) return true;
-    out.error.path = std::string("violation.") + key;
-    out.error.message = "expected a non-negative integer (<= 2^53)";
-    return false;
-  };
+  Violation& violation = bundle.violation;
   std::uint64_t episode = 0;
   std::uint64_t repeat = 0;
-  if (!read_index("frame", true, bundle.violation.frame) ||
-      !read_index("episode", false, episode) ||
-      !read_index("repeat", false, repeat)) {
-    return out;
+  if (const JsonValue* v = read_member(in, root, "", "violation",
+                                       JsonValue::Kind::kObject, true)) {
+    read_string(in, *v, "violation.", "invariant", violation.invariant,
+                true);
+    read_string(in, *v, "violation.", "detail", violation.detail);
+    read_uint(in, *v, "violation.", "frame", violation.frame, true);
+    read_uint(in, *v, "violation.", "episode", episode);
+    read_uint(in, *v, "violation.", "repeat", repeat);
+    read_number(in, *v, "violation.", "time", violation.time);
   }
-  bundle.violation.episode = episode;
-  bundle.violation.repeat = repeat;
-  if (const JsonValue* t = v->find("time");
-      t != nullptr && t->is_number()) {
-    bundle.violation.time = t->as_number();
-  }
-  const JsonValue* sc = root.find("scenario");
-  if (sc == nullptr) {
-    out.error.path = "scenario";
-    out.error.message = "required object missing";
+  violation.episode = episode;
+  violation.repeat = repeat;
+  const JsonValue* sc = read_member(in, root, "", "scenario",
+                                    JsonValue::Kind::kObject, true);
+  if (in.failed) {
+    out.error = in.error;
     return out;
   }
   ScenarioParseResult parsed = scenario_from_value(*sc);

@@ -183,7 +183,7 @@ struct ReproBundle {
 
 struct BundleParseResult {
   std::optional<ReproBundle> bundle;
-  ScenarioError error;  ///< meaningful iff !bundle
+  JsonPathError error;  ///< meaningful iff !bundle
 
   [[nodiscard]] bool ok() const noexcept { return bundle.has_value(); }
 };

@@ -1,89 +1,11 @@
 #include "chaos/scenario.hpp"
 
-#include <cmath>
 #include <limits>
 
 namespace carpool::chaos {
 namespace {
 
-// ---------------------------------------------------------- field access
-//
-// All readers share the convention: on failure they record the first
-// error (dotted path + message) and return false, so parse_scenario can
-// bail out early without exceptions.
-
-struct Ctx {
-  ScenarioError error;
-  bool failed = false;
-
-  bool fail(std::string path, std::string message) {
-    if (!failed) {
-      error.path = std::move(path);
-      error.message = std::move(message);
-      failed = true;
-    }
-    return false;
-  }
-};
-
-bool read_number(Ctx& ctx, const JsonValue& obj, const std::string& path,
-                 std::string_view key, double& out, bool required) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr) {
-    if (required) {
-      return ctx.fail(path + std::string(key), "required field missing");
-    }
-    return true;
-  }
-  if (!v->is_number()) {
-    return ctx.fail(path + std::string(key), "expected a number");
-  }
-  out = v->as_number();
-  if (!std::isfinite(out)) {
-    return ctx.fail(path + std::string(key), "must be finite");
-  }
-  return true;
-}
-
-bool read_uint(Ctx& ctx, const JsonValue& obj, const std::string& path,
-               std::string_view key, std::uint64_t& out, bool required) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr) {
-    if (required) {
-      return ctx.fail(path + std::string(key), "required field missing");
-    }
-    return true;
-  }
-  if (!json_to_u64(v, out)) {
-    return ctx.fail(path + std::string(key),
-                    "expected a non-negative integer (<= 2^53)");
-  }
-  return true;
-}
-
-bool read_bool(Ctx& ctx, const JsonValue& obj, const std::string& path,
-               std::string_view key, bool& out) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr) return true;
-  if (!v->is_bool()) {
-    return ctx.fail(path + std::string(key), "expected a boolean");
-  }
-  out = v->as_bool();
-  return true;
-}
-
-bool read_string(Ctx& ctx, const JsonValue& obj, const std::string& path,
-                 std::string_view key, std::string& out) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr) return true;
-  if (!v->is_string()) {
-    return ctx.fail(path + std::string(key), "expected a string");
-  }
-  out = v->as_string();
-  return true;
-}
-
-bool parse_scheme(Ctx& ctx, const std::string& name, mac::Scheme& out) {
+bool parse_scheme(JsonReader& ctx, const std::string& name, mac::Scheme& out) {
   if (name == "carpool") {
     out = mac::Scheme::kCarpool;
   } else if (name == "dcf" || name == "802.11") {
@@ -101,7 +23,7 @@ bool parse_scheme(Ctx& ctx, const std::string& name, mac::Scheme& out) {
   return true;
 }
 
-bool parse_traffic_kind(Ctx& ctx, const std::string& path,
+bool parse_traffic_kind(JsonReader& ctx, const std::string& path,
                         const std::string& name, TrafficKind& out) {
   if (name == "cbr") {
     out = TrafficKind::kCbr;
@@ -118,7 +40,7 @@ bool parse_traffic_kind(Ctx& ctx, const std::string& path,
   return true;
 }
 
-bool parse_mobility(Ctx& ctx, const JsonValue& v, Scenario& s) {
+bool parse_mobility(JsonReader& ctx, const JsonValue& v, Scenario& s) {
   const JsonValue* arr = v.find("mobility");
   if (arr == nullptr) return true;
   if (!arr->is_array()) return ctx.fail("mobility", "expected an array");
@@ -173,7 +95,7 @@ bool parse_mobility(Ctx& ctx, const JsonValue& v, Scenario& s) {
   return true;
 }
 
-bool parse_interference(Ctx& ctx, const JsonValue& v, Scenario& s) {
+bool parse_interference(JsonReader& ctx, const JsonValue& v, Scenario& s) {
   const JsonValue* arr = v.find("interference");
   if (arr == nullptr) return true;
   if (!arr->is_array()) {
@@ -221,7 +143,7 @@ bool parse_interference(Ctx& ctx, const JsonValue& v, Scenario& s) {
   return true;
 }
 
-bool parse_churn(Ctx& ctx, const JsonValue& v, Scenario& s) {
+bool parse_churn(JsonReader& ctx, const JsonValue& v, Scenario& s) {
   const JsonValue* arr = v.find("churn");
   if (arr == nullptr) return true;
   if (!arr->is_array()) return ctx.fail("churn", "expected an array");
@@ -254,7 +176,7 @@ bool parse_churn(Ctx& ctx, const JsonValue& v, Scenario& s) {
   return true;
 }
 
-bool parse_traffic(Ctx& ctx, const JsonValue& v, Scenario& s) {
+bool parse_traffic(JsonReader& ctx, const JsonValue& v, Scenario& s) {
   const JsonValue* arr = v.find("traffic");
   if (arr == nullptr) return true;
   if (!arr->is_array()) return ctx.fail("traffic", "expected an array");
@@ -297,7 +219,7 @@ bool parse_traffic(Ctx& ctx, const JsonValue& v, Scenario& s) {
   return true;
 }
 
-bool parse_link_policy(Ctx& ctx, const JsonValue& v, Scenario& s) {
+bool parse_link_policy(JsonReader& ctx, const JsonValue& v, Scenario& s) {
   const JsonValue* lp = v.find("link_policy");
   if (lp == nullptr) return true;
   if (!lp->is_object()) {
@@ -313,7 +235,7 @@ bool parse_link_policy(Ctx& ctx, const JsonValue& v, Scenario& s) {
   return true;
 }
 
-bool parse_topology(Ctx& ctx, const JsonValue& v, Scenario& s) {
+bool parse_topology(JsonReader& ctx, const JsonValue& v, Scenario& s) {
   const JsonValue* topo = v.find("topology");
   if (topo == nullptr) return true;
   if (!topo->is_object()) {
@@ -374,7 +296,7 @@ bool parse_topology(Ctx& ctx, const JsonValue& v, Scenario& s) {
   return true;
 }
 
-bool parse_snr_trace(Ctx& ctx, const JsonValue& v, Scenario& s) {
+bool parse_snr_trace(JsonReader& ctx, const JsonValue& v, Scenario& s) {
   const JsonValue* arr = v.find("snr_trace");
   if (arr == nullptr) return true;
   if (!arr->is_array()) return ctx.fail("snr_trace", "expected an array");
@@ -406,7 +328,7 @@ bool parse_snr_trace(Ctx& ctx, const JsonValue& v, Scenario& s) {
   return true;
 }
 
-bool parse_shadowing(Ctx& ctx, const JsonValue& v, Scenario& s) {
+bool parse_shadowing(JsonReader& ctx, const JsonValue& v, Scenario& s) {
   const JsonValue* sh = v.find("shadowing");
   if (sh == nullptr) return true;
   if (!sh->is_object()) {
@@ -473,7 +395,7 @@ std::string_view traffic_kind_name(TrafficKind kind) noexcept {
 
 ScenarioParseResult scenario_from_value(const JsonValue& v) {
   ScenarioParseResult out;
-  Ctx ctx;
+  JsonReader ctx;
   if (!v.is_object()) {
     ctx.fail("", "scenario must be a JSON object");
     out.error = ctx.error;

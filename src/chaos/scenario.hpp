@@ -128,20 +128,9 @@ struct Scenario {
   [[nodiscard]] double timeline_seconds() const noexcept { return duration; }
 };
 
-/// Structured scenario-validation failure: `path` is a dotted JSON path
-/// ("interference[2].stop"), `message` says what is wrong with it.
-struct ScenarioError {
-  std::string path;
-  std::string message;
-
-  [[nodiscard]] std::string to_string() const {
-    return path.empty() ? message : path + ": " + message;
-  }
-};
-
 struct ScenarioParseResult {
   std::optional<Scenario> scenario;
-  ScenarioError error;  ///< meaningful iff !scenario
+  JsonPathError error;  ///< meaningful iff !scenario
 
   [[nodiscard]] bool ok() const noexcept { return scenario.has_value(); }
 };

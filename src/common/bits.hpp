@@ -24,6 +24,14 @@ Bits bytes_to_bits(std::span<const std::uint8_t> bytes);
 /// std::invalid_argument if bits.size() is not a multiple of 8.
 Bytes bits_to_bytes(std::span<const std::uint8_t> bits);
 
+/// 1 when `value` has an odd number of set bits: the XOR a convolutional
+/// encoder forms over its generator taps. __builtin_parity compiles
+/// inline (xor folds and setnp on x86-64), where std::popcount without
+/// -mpopcnt calls into libgcc once per coded bit.
+[[nodiscard]] constexpr std::uint8_t parity(unsigned value) noexcept {
+  return static_cast<std::uint8_t>(__builtin_parity(value));
+}
+
 /// Number of positions where the two bit strings differ, compared over the
 /// shorter length. Size mismatch beyond that counts as errors too.
 std::size_t hamming_distance(std::span<const std::uint8_t> a,

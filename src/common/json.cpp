@@ -427,4 +427,93 @@ bool json_to_u64(const JsonValue* v, std::uint64_t& out) noexcept {
   return true;
 }
 
+namespace {
+
+/// Member `key` of `obj`, null when absent; a missing required member
+/// is a failure.
+const JsonValue* find_field(JsonReader& in, const JsonValue& obj,
+                            const std::string& path, std::string_view key,
+                            bool required) {
+  const JsonValue* v = obj.find(key);
+  if (v == nullptr && required) {
+    in.fail(path + std::string(key), "required field missing");
+  }
+  return v;
+}
+
+}  // namespace
+
+bool read_number(JsonReader& in, const JsonValue& obj,
+                 const std::string& path, std::string_view key, double& out,
+                 bool required) {
+  const JsonValue* v = find_field(in, obj, path, key, required);
+  if (v == nullptr) return !required;
+  if (!v->is_number()) {
+    return in.fail(path + std::string(key), "expected a number");
+  }
+  if (!std::isfinite(v->as_number())) {
+    return in.fail(path + std::string(key), "must be finite");
+  }
+  out = v->as_number();
+  return true;
+}
+
+bool read_uint(JsonReader& in, const JsonValue& obj, const std::string& path,
+               std::string_view key, std::uint64_t& out, bool required) {
+  const JsonValue* v = find_field(in, obj, path, key, required);
+  if (v == nullptr) return !required;
+  if (!json_to_u64(v, out)) {
+    return in.fail(path + std::string(key),
+                   "expected a non-negative integer (<= 2^53)");
+  }
+  return true;
+}
+
+bool read_hex_u64(JsonReader& in, const JsonValue& obj,
+                  const std::string& path, std::string_view key,
+                  std::uint64_t& out, bool required) {
+  const JsonValue* v = find_field(in, obj, path, key, required);
+  if (v == nullptr) return !required;
+  if (!json_from_hex_u64(v, out)) {
+    return in.fail(path + std::string(key),
+                   "expected a 0x-prefixed hex string");
+  }
+  return true;
+}
+
+bool read_bool(JsonReader& in, const JsonValue& obj, const std::string& path,
+               std::string_view key, bool& out, bool required) {
+  const JsonValue* v = find_field(in, obj, path, key, required);
+  if (v == nullptr) return !required;
+  if (!v->is_bool()) {
+    return in.fail(path + std::string(key), "expected a boolean");
+  }
+  out = v->as_bool();
+  return true;
+}
+
+bool read_string(JsonReader& in, const JsonValue& obj,
+                 const std::string& path, std::string_view key,
+                 std::string& out, bool required) {
+  const JsonValue* v = find_field(in, obj, path, key, required);
+  if (v == nullptr) return !required;
+  if (!v->is_string()) {
+    return in.fail(path + std::string(key), "expected a string");
+  }
+  out = v->as_string();
+  return true;
+}
+
+const JsonValue* read_member(JsonReader& in, const JsonValue& obj,
+                             const std::string& path, std::string_view key,
+                             JsonValue::Kind kind, bool required) {
+  const JsonValue* v = find_field(in, obj, path, key, required);
+  if (v == nullptr || v->kind() == kind) return v;
+  static constexpr const char* kKindNames[] = {
+      "null", "a boolean", "a number", "a string", "an array", "an object"};
+  in.fail(path + std::string(key),
+          std::string("expected ") + kKindNames[static_cast<int>(kind)]);
+  return nullptr;
+}
+
 }  // namespace carpool

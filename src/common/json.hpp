@@ -13,6 +13,8 @@
 //
 // Writers with their own line layout (registry export, Chrome trace)
 // use json_quote and json_number: one escape table, one number rule.
+// Schema parsers read fields through JsonReader and the read_*
+// functions: one rule for required fields, types and error paths.
 
 #include <cstdint>
 #include <map>
@@ -139,6 +141,61 @@ struct JsonParseResult {
 /// corrupted or hand-edited file must become a diagnostic, not UB.
 [[nodiscard]] bool json_to_u64(const JsonValue* v,
                                std::uint64_t& out) noexcept;
+
+// ------------------------------------------------------- field reading
+
+/// Where a well-formed document breaks its schema: a dotted JSON path
+/// ("interference[2].stop") and what is wrong there.
+struct JsonPathError {
+  std::string path;
+  std::string message;
+
+  [[nodiscard]] std::string to_string() const {
+    return path.empty() ? message : path + ": " + message;
+  }
+};
+
+/// The one field reader of the never-throwing schema parsers (scenarios,
+/// repro bundles, checkpoints, fuzz state, registry exports). Each read_*
+/// looks up `key` in `obj` and on success stores it in `out` and returns
+/// true; an absent optional field leaves `out` as it was. A missing
+/// required field or a wrong type records the first failure, at path
+/// `path + key`, and returns false.
+struct JsonReader {
+  JsonPathError error;
+  bool failed = false;
+
+  bool fail(std::string path, std::string message) {
+    if (!failed) {
+      error = {std::move(path), std::move(message)};
+      failed = true;
+    }
+    return false;
+  }
+};
+
+/// A finite number.
+bool read_number(JsonReader& in, const JsonValue& obj,
+                 const std::string& path, std::string_view key, double& out,
+                 bool required = false);
+/// An integer in [0, 2^53] (json_to_u64).
+bool read_uint(JsonReader& in, const JsonValue& obj, const std::string& path,
+               std::string_view key, std::uint64_t& out,
+               bool required = false);
+/// A json_hex_u64 string.
+bool read_hex_u64(JsonReader& in, const JsonValue& obj,
+                  const std::string& path, std::string_view key,
+                  std::uint64_t& out, bool required = false);
+bool read_bool(JsonReader& in, const JsonValue& obj, const std::string& path,
+               std::string_view key, bool& out, bool required = false);
+bool read_string(JsonReader& in, const JsonValue& obj,
+                 const std::string& path, std::string_view key,
+                 std::string& out, bool required = false);
+/// The member itself when it is of `kind`; null when it is absent or
+/// the read failed.
+const JsonValue* read_member(JsonReader& in, const JsonValue& obj,
+                             const std::string& path, std::string_view key,
+                             JsonValue::Kind kind, bool required = false);
 
 // ------------------------------------------------- building convenience
 

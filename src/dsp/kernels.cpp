@@ -1,7 +1,6 @@
 #include "dsp/kernels.hpp"
 
 #include <atomic>
-#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -9,6 +8,7 @@
 #include <mutex>
 #include <utility>
 
+#include "common/bits.hpp"
 #include "dsp/kernels_backends.hpp"
 #include "dsp/kernels_internal.hpp"
 #include "obs/registry.hpp"
@@ -37,10 +37,6 @@ CpuSupport detect_cpu() noexcept {
 const CpuSupport& cpu() noexcept {
   static const CpuSupport support = detect_cpu();
   return support;
-}
-
-std::uint8_t parity(unsigned value) noexcept {
-  return static_cast<std::uint8_t>(std::popcount(value) & 1);
 }
 
 ViterbiTables build_viterbi_tables() noexcept {

@@ -1,7 +1,6 @@
 #include "fec/convolutional.hpp"
 
 #include <array>
-#include <bit>
 #include <stdexcept>
 
 namespace carpool {
@@ -28,10 +27,6 @@ std::span<const bool> keep_mask(CodeRate rate) {
       return kKeep56;
   }
   throw std::logic_error("unknown CodeRate");
-}
-
-std::uint8_t parity(unsigned value) {
-  return static_cast<std::uint8_t>(std::popcount(value) & 1);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "mac/domain_sim.hpp"
+#include "mac/simulator.hpp"
 
 #include <algorithm>
 #include <array>

@@ -1,49 +1,6 @@
 #pragma once
 
-// Per-collision-domain event engine: one BSS, one virtual-slot event
-// queue, one RNG stream tree derived from its own seed. This is the
-// engine that used to live inside mac::Simulator; the split lets a
-// multi-BSS topology (sim::Topology + sim::MultiBssSim) run one
-// DomainSim per AP — each with its own backoff state, arrival queue,
-// link-state machine, and obs scope — and shard whole domains across
-// carpool::par with an index-ordered merge (docs/MULTI_AP.md).
-//
-// Determinism contract: a DomainSim is a pure function of (SimConfig,
-// flows). All randomness comes from streams split off config.seed in a
-// fixed order (traffic=1, phy=2, backoff=3, topology=4), so two
-// DomainSims with identical configs produce identical SimResults and
-// identical instrumentation — the property the 2-BSS regression anchor
-// and the serial-vs-parallel fingerprint canary pin.
-
-#include <cstdint>
+// Old home of mac::DomainSim, now declared in mac/simulator.hpp beside
+// its SimConfig. Only bench/e2e still includes this name.
 
 #include "mac/simulator.hpp"
-
-namespace carpool::mac {
-
-class DomainSim {
- public:
-  /// `domain` tags this engine's collision domain (AP index) for
-  /// observability; it does not perturb the simulation. Seed derivation
-  /// for multi-domain campaigns happens in the caller (the seed must be
-  /// fully determined by the config so a single-BSS Simulator with the
-  /// same config reproduces this domain bit for bit).
-  explicit DomainSim(SimConfig config, std::uint32_t domain = 0);
-
-  /// Add a traffic flow (downlink if src == kApNode, else uplink).
-  void add_flow(FlowSpec flow);
-
-  [[nodiscard]] std::uint32_t domain() const noexcept { return domain_; }
-  [[nodiscard]] const SimConfig& config() const noexcept { return config_; }
-
-  /// Run to config.duration and return aggregate metrics. Re-runnable:
-  /// all mutable state is local to the call.
-  SimResult run();
-
- private:
-  SimConfig config_;
-  std::uint32_t domain_ = 0;
-  std::vector<FlowSpec> flows_;
-};
-
-}  // namespace carpool::mac

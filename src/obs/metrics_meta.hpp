@@ -6,7 +6,7 @@
 // carrying its unit, owning layer, and a one-line description. The
 // registry consults the catalog at find-or-create time and exports the
 // resolved metadata in BENCH_*.json as `schema_version: 2`, so a
-// downstream consumer (bench_report, the StatsWriter CSV, a human with
+// downstream consumer (bench_report, Registry::to_csv, a human with
 // jq) never has to guess what `phy.rte_delta_clamped` counts or whether
 // `ablation.ge_static_goodput_bps` is bits or bytes.
 //

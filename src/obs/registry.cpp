@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -135,22 +137,25 @@ Registry::ScopedCurrent::~ScopedCurrent() {
   t_current_registry = previous_;
 }
 
-void Registry::attach_meta(std::string_view name) {
-  if (meta_.find(name) != meta_.end()) return;
-  if (const MetricMeta* meta = find_metric_meta(name); meta != nullptr) {
-    meta_.emplace(std::string(name), meta);
+template <typename Metrics, typename Make>
+auto& Registry::find_or_create(Metrics& metrics, std::string_view name,
+                               Make make) {
+  auto it = metrics.find(name);
+  if (it == metrics.end()) {
+    it = metrics.emplace(std::string(name), make()).first;
+    if (meta_.find(name) == meta_.end()) {
+      if (const MetricMeta* meta = find_metric_meta(name); meta != nullptr) {
+        meta_.emplace(std::string(name), meta);
+      }
+    }
   }
+  return *it->second;
 }
 
 Counter& Registry::counter(std::string_view name) {
   const std::scoped_lock lock(mutex_);
-  auto it = counters_.find(name);
-  if (it == counters_.end()) {
-    it = counters_.emplace(std::string(name), std::make_unique<Counter>())
-             .first;
-    attach_meta(name);
-  }
-  return *it->second;
+  return find_or_create(counters_, name,
+                        [] { return std::make_unique<Counter>(); });
 }
 
 std::uint64_t Registry::counter_value(std::string_view name) const {
@@ -161,29 +166,19 @@ std::uint64_t Registry::counter_value(std::string_view name) const {
 
 Gauge& Registry::gauge(std::string_view name) {
   const std::scoped_lock lock(mutex_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
-    attach_meta(name);
-  }
-  return *it->second;
+  return find_or_create(gauges_, name,
+                        [] { return std::make_unique<Gauge>(); });
 }
 
 Histogram& Registry::histogram(std::string_view name,
                                const std::vector<double>& bounds,
                                std::string_view unit) {
   const std::scoped_lock lock(mutex_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    // Bounds and unit are copied only to register: the lookup every
-    // OBS_SCOPED_TIMER makes copies nothing.
-    it = histograms_
-             .emplace(std::string(name),
-                      std::make_unique<Histogram>(bounds, std::string(unit)))
-             .first;
-    attach_meta(name);
-  }
-  return *it->second;
+  // Bounds and unit are copied only to register: the lookup every
+  // OBS_SCOPED_TIMER makes copies nothing.
+  return find_or_create(histograms_, name, [&] {
+    return std::make_unique<Histogram>(bounds, std::string(unit));
+  });
 }
 
 Histogram& Registry::latency_histogram(std::string_view name) {
@@ -199,34 +194,21 @@ void Registry::merge_from(const Registry& other) {
   if (&other == this) return;
   const std::scoped_lock lock(mutex_, other.mutex_);
   for (const auto& [name, c] : other.counters_) {
-    auto it = counters_.find(name);
-    if (it == counters_.end()) {
-      it = counters_.emplace(name, std::make_unique<Counter>()).first;
-      attach_meta(name);
-    }
     // Registration is carried over even at zero so a merged export has the
     // same key set as a serial run that executed the same call sites.
+    Counter& mine = find_or_create(counters_, name,
+                                   [] { return std::make_unique<Counter>(); });
     const std::uint64_t v = c->value();
-    if (v != 0) it->second->add(v);
+    if (v != 0) mine.add(v);
   }
   for (const auto& [name, g] : other.gauges_) {
-    auto it = gauges_.find(name);
-    if (it == gauges_.end()) {
-      it = gauges_.emplace(name, std::make_unique<Gauge>()).first;
-      attach_meta(name);
-    }
-    it->second->set(g->value());
+    find_or_create(gauges_, name, [] { return std::make_unique<Gauge>(); })
+        .set(g->value());
   }
   for (const auto& [name, h] : other.histograms_) {
-    auto it = histograms_.find(name);
-    if (it == histograms_.end()) {
-      it = histograms_
-               .emplace(name, std::make_unique<Histogram>(h->bounds(),
-                                                          h->unit()))
-               .first;
-      attach_meta(name);
-    }
-    it->second->merge_from(*h);
+    find_or_create(histograms_, name, [&h = h] {
+      return std::make_unique<Histogram>(h->bounds(), h->unit());
+    }).merge_from(*h);
   }
 }
 
@@ -236,59 +218,108 @@ const MetricMeta* Registry::metric_meta(std::string_view name) const {
   return it == meta_.end() ? nullptr : it->second;
 }
 
-MetricsSnapshot Registry::snapshot() const {
-  const std::scoped_lock lock(mutex_);
-  MetricsSnapshot snap;
-  const auto meta_for = [this](const std::string& name) -> const MetricMeta* {
-    const auto it = meta_.find(name);
-    return it == meta_.end() ? nullptr : it->second;
+bool Registry::restore(const JsonValue& exported, std::string& error) {
+  // Read and check the whole document before touching any metric.
+  struct HistogramState {
+    std::string name;
+    std::string unit;
+    std::vector<double> bounds;
+    std::vector<std::uint64_t> buckets;
+    std::uint64_t count = 0;
+    double sum = 0.0;
+    double min = 0.0;
+    double max = 0.0;
   };
-  snap.counters.reserve(counters_.size());
-  for (const auto& [name, c] : counters_) {
-    snap.counters.push_back({name, c->value(), meta_for(name)});
+  std::vector<std::pair<std::string, std::uint64_t>> counters;
+  std::vector<std::pair<std::string, double>> gauges;
+  std::vector<HistogramState> histograms;
+  JsonReader in;
+  std::uint64_t version = 0;
+  if (read_uint(in, exported, "", "schema_version", version, true) &&
+      version != 2) {
+    in.fail("schema_version", "expected 2");
   }
-  snap.gauges.reserve(gauges_.size());
-  for (const auto& [name, g] : gauges_) {
-    snap.gauges.push_back({name, g->value(), meta_for(name)});
-  }
-  snap.histograms.reserve(histograms_.size());
-  for (const auto& [name, h] : histograms_) {
-    const std::uint64_t n = h->count();
-    MetricsSnapshot::HistogramRow& row = snap.histograms.emplace_back();
-    row.name = name;
-    row.unit = h->unit();
-    row.count = n;
-    row.sum = h->sum();
-    row.mean = h->mean();
-    row.min = n == 0 ? 0.0 : h->min();
-    row.max = n == 0 ? 0.0 : h->max();
-    row.p50 = h->percentile(0.5);
-    row.p99 = h->percentile(0.99);
-    row.meta = meta_for(name);
-    row.bounds = h->bounds();
-    row.buckets.reserve(row.bounds.size() + 1);
-    for (std::size_t i = 0; i <= row.bounds.size(); ++i) {
-      row.buckets.push_back(h->bucket_count(i));
+  const auto section = [&](const char* title) {
+    return read_member(in, exported, "", title, JsonValue::Kind::kObject,
+                       true);
+  };
+  if (const JsonValue* metrics = section("counters")) {
+    for (const auto& [name, v] : metrics->as_object()) {
+      read_uint(in, *metrics, "counters.", name,
+                counters.emplace_back(name, 0).second, true);
     }
   }
-  return snap;
-}
+  if (const JsonValue* metrics = section("gauges")) {
+    for (const auto& [name, v] : metrics->as_object()) {
+      read_number(in, *metrics, "gauges.", name,
+                  gauges.emplace_back(name, 0.0).second, true);
+    }
+  }
+  if (const JsonValue* metrics = section("histograms")) {
+    for (const auto& [name, h] : metrics->as_object()) {
+      const std::string path = "histograms." + name + ".";
+      HistogramState& st = histograms.emplace_back();
+      st.name = name;
+      read_string(in, h, path, "unit", st.unit);
+      read_uint(in, h, path, "count", st.count, true);
+      read_number(in, h, path, "sum", st.sum, true);
+      if (st.count != 0) {  // an empty histogram exports null min and max
+        read_number(in, h, path, "min", st.min, true);
+        read_number(in, h, path, "max", st.max, true);
+      }
+      const JsonValue* buckets =
+          read_member(in, h, path, "buckets", JsonValue::Kind::kArray, true);
+      if (buckets == nullptr) continue;
+      const JsonArray& rows = buckets->as_array();
+      if (rows.empty()) in.fail(path + "buckets", "expected a +Inf bucket");
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        const std::string at = path + "buckets[" + std::to_string(i) + "].";
+        read_uint(in, rows[i], at, "count", st.buckets.emplace_back(), true);
+        if (i + 1 == rows.size()) {
+          std::string le;
+          if (read_string(in, rows[i], at, "le", le, true) && le != "+Inf") {
+            in.fail(at + "le", "expected \"+Inf\"");
+          }
+        } else if (read_number(in, rows[i], at, "le",
+                               st.bounds.emplace_back(), true) &&
+                   i > 0 && st.bounds[i] < st.bounds[i - 1]) {
+          in.fail(at + "le", "bounds must be sorted ascending");
+        }
+      }
+    }
+  }
+  if (in.failed) {
+    error = in.error.to_string();
+    return false;
+  }
 
-void Registry::restore(const MetricsSnapshot& snap) {
-  for (const auto& row : snap.counters) {
-    // Register even zero-valued counters: key-set parity with the
-    // snapshotted run keeps the fingerprint input and export schema
-    // identical after a resume.
-    Counter& c = counter(row.name);
-    if (row.value != 0) c.add(row.value);
+  const std::scoped_lock lock(mutex_);
+  // A histogram keeps the bounds it was registered with: refuse other
+  // bounds for a registered name, or for a name seen twice.
+  std::map<std::string_view, const std::vector<double>*> shapes;
+  for (const auto& [name, h] : histograms_) shapes.emplace(name, &h->bounds());
+  for (const HistogramState& st : histograms) {
+    const auto [it, fresh] = shapes.emplace(st.name, &st.bounds);
+    if (!fresh && *it->second != st.bounds) {
+      error = "histograms." + st.name + ": bounds differ from the " +
+              "registered histogram's";
+      return false;
+    }
   }
-  for (const auto& row : snap.gauges) {
-    gauge(row.name).set(row.value);
+  for (const auto& [name, value] : counters) {
+    find_or_create(counters_, name, [] { return std::make_unique<Counter>(); })
+        .add(value);
   }
-  for (const auto& row : snap.histograms) {
-    histogram(row.name, row.bounds, row.unit)
-        .restore_add(row.buckets, row.count, row.sum, row.min, row.max);
+  for (const auto& [name, value] : gauges) {
+    find_or_create(gauges_, name, [] { return std::make_unique<Gauge>(); })
+        .set(value);
   }
+  for (const HistogramState& st : histograms) {
+    find_or_create(histograms_, st.name, [&st] {
+      return std::make_unique<Histogram>(st.bounds, st.unit);
+    }).restore_add(st.buckets, st.count, st.sum, st.min, st.max);
+  }
+  return true;
 }
 
 std::uint64_t Registry::fingerprint() const {
@@ -388,13 +419,93 @@ std::string Registry::to_text() const {
   return os.str();
 }
 
-bool Registry::write_json(const std::string& path,
-                          std::string_view bench) const {
+namespace {
+
+/// RFC-4180 quoting: wrap in quotes when the cell contains a comma,
+/// quote, or newline; double embedded quotes.
+void append_cell(std::string& out, std::string_view s) {
+  if (s.find_first_of(",\"\n") == std::string_view::npos) {
+    out += s;
+    return;
+  }
+  out += '"';
+  for (const char c : s) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  out += '"';
+}
+
+/// A CSV number: %.9g, or an empty cell when non-finite.
+std::string csv_number(double v) {
+  if (!std::isfinite(v)) return {};
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.9g", v);
+  return buf;
+}
+
+bool write_file(const std::string& path, const std::string& text) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) return false;
-  out << to_json(bench);
+  out << text;
   out.close();  // flush here: a failed final write must not count as success
   return static_cast<bool>(out);
+}
+
+}  // namespace
+
+std::string Registry::to_csv() const {
+  const std::scoped_lock lock(mutex_);
+  std::string out =
+      "metric,type,layer,unit,value,count,sum,mean,min,max,p50,p99,"
+      "description\n";
+  // `cells` holds the value..p99 columns.
+  const auto row = [&](const std::string& name, std::string_view type,
+                       std::string_view fallback_unit,
+                       const std::string& cells) {
+    const auto it = meta_.find(name);
+    const MetricMeta* meta = it == meta_.end() ? nullptr : it->second;
+    append_cell(out, name);
+    out += ',';
+    out += type;
+    out += ',';
+    append_cell(out, meta != nullptr ? meta->layer : std::string_view{});
+    out += ',';
+    append_cell(out, meta != nullptr ? meta->unit : fallback_unit);
+    out += ',';
+    out += cells;
+    out += ',';
+    append_cell(out, meta != nullptr ? meta->description : std::string_view{});
+    out += '\n';
+  };
+  for (const auto& [name, c] : counters_) {
+    row(name, "counter", "count", std::to_string(c->value()) + ",,,,,,,");
+  }
+  for (const auto& [name, g] : gauges_) {
+    row(name, "gauge", {}, csv_number(g->value()) + ",,,,,,,");
+  }
+  for (const auto& [name, h] : histograms_) {
+    const bool empty = h->count() == 0;
+    std::string cells = ",";  // no value: the distribution columns follow
+    cells += std::to_string(h->count());
+    for (const double v : {h->sum(), h->mean(), empty ? 0.0 : h->min(),
+                           empty ? 0.0 : h->max(), h->percentile(0.5),
+                           h->percentile(0.99)}) {
+      cells += ',';
+      cells += csv_number(v);
+    }
+    row(name, "histogram", h->unit(), cells);
+  }
+  return out;
+}
+
+bool Registry::write_json(const std::string& path,
+                          std::string_view bench) const {
+  return write_file(path, to_json(bench));
+}
+
+bool Registry::write_csv(const std::string& path) const {
+  return write_file(path, to_csv());
 }
 
 void Registry::reset_values() {

@@ -20,12 +20,14 @@
 // the static catalog in metrics_meta.hpp and remembers the unit / layer /
 // description, which exporters surface as `schema_version: 2`.
 //
-// Exporters: to_json() produces the unified BENCH_*.json schema shared by
-// every bench binary (see docs/OBSERVABILITY.md), to_text() a human
-// summary, snapshot() a plain-data view for columnar exporters
-// (obs::StatsWriter), and fingerprint() a 64-bit FNV-1a digest of the
-// deterministic metric surface (counters + gauges; wall-clock histograms
-// excluded) used by the CI serial-vs-parallel determinism canary.
+// This file and registry.cpp are the only code that knows how a registry
+// is laid out. to_json() produces the unified BENCH_*.json schema shared
+// by every bench binary (see docs/OBSERVABILITY.md) and restore() reads
+// it back (campaign checkpoints carry that export, docs/FAULT_TOLERANCE.md);
+// to_csv() writes the same metrics one row each, to_text() a human
+// summary, and fingerprint() a 64-bit FNV-1a digest of the deterministic
+// metric surface (counters + gauges; wall-clock histograms excluded) used
+// by the CI serial-vs-parallel determinism canary.
 
 #include <atomic>
 #include <cstdint>
@@ -38,6 +40,10 @@
 #include <vector>
 
 #include "obs/metrics_meta.hpp"
+
+namespace carpool {
+class JsonValue;
+}
 
 namespace carpool::obs {
 
@@ -113,9 +119,9 @@ class Histogram {
   /// bucket bounds differ — merging only makes sense shape-to-shape.
   void merge_from(const Histogram& other);
 
-  /// Fold previously snapshotted raw contents back in (checkpoint
-  /// resume): bucket counts and count/sum add, min/max combine exactly
-  /// like merge_from. `buckets` must have bounds().size()+1 entries or
+  /// Fold exported raw contents back in (Registry::restore): bucket
+  /// counts and count/sum add, min/max combine exactly like merge_from.
+  /// `buckets` must have bounds().size()+1 entries or
   /// std::invalid_argument is thrown. A count of zero is a no-op for
   /// min/max, so restoring an empty histogram keeps the +-inf sentinels.
   void restore_add(const std::vector<std::uint64_t>& buckets,
@@ -131,43 +137,6 @@ class Histogram {
   std::atomic<double> sum_{0.0};
   std::atomic<double> min_{std::numeric_limits<double>::infinity()};
   std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
-};
-
-/// Plain-data view of a registry at one instant, with catalog metadata
-/// resolved per metric. Consumed by columnar exporters (StatsWriter) and
-/// report tooling; safe to hold after the registry mutates.
-struct MetricsSnapshot {
-  struct CounterRow {
-    std::string name;
-    std::uint64_t value = 0;
-    const MetricMeta* meta = nullptr;  ///< null when uncataloged
-  };
-  struct GaugeRow {
-    std::string name;
-    double value = 0.0;
-    const MetricMeta* meta = nullptr;
-  };
-  struct HistogramRow {
-    std::string name;
-    std::string unit;
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double mean = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    double p50 = 0.0;
-    double p99 = 0.0;
-    const MetricMeta* meta = nullptr;
-    /// Raw bucket shape + contents, enough to reconstruct the histogram
-    /// exactly (campaign checkpoints round-trip registries through this
-    /// snapshot — docs/FAULT_TOLERANCE.md). buckets has bounds.size()+1
-    /// entries; the last is the overflow bucket.
-    std::vector<double> bounds;
-    std::vector<std::uint64_t> buckets;
-  };
-  std::vector<CounterRow> counters;    ///< sorted by name
-  std::vector<GaugeRow> gauges;        ///< sorted by name
-  std::vector<HistogramRow> histograms;  ///< sorted by name
 };
 
 class Registry {
@@ -226,21 +195,23 @@ class Registry {
   /// schema is identical to a serial run's. Self-merge is a no-op.
   void merge_from(const Registry& other);
 
-  /// Rebuild this registry's contents from a snapshot (checkpoint
-  /// resume, docs/FAULT_TOLERANCE.md): counters add their snapshotted
-  /// values (registering zero-valued ones too, so the restored key set —
-  /// and therefore the export schema and fingerprint input — matches the
-  /// snapshotted run exactly), gauges set, histograms reconstruct from
-  /// the raw bounds/buckets via restore_add. Call on a registry that
-  /// does not already hold campaign state, or counts double.
-  void restore(const MetricsSnapshot& snap);
+  /// Read a to_json() export back in (checkpoint resume,
+  /// docs/FAULT_TOLERANCE.md): counters add their exported values
+  /// (registering zero-valued ones too, so the restored key set, and
+  /// with it the export schema and fingerprint input, matches the
+  /// exported run), gauges set, histograms fold in their buckets, count,
+  /// sum, min and max via restore_add. The whole document is checked
+  /// first: schema_version 2, integer counts, finite numbers, bucket
+  /// bounds ascending and ending in "+Inf", and the same bounds as a
+  /// histogram of that name already registered. On a failure `error`
+  /// names the field, nothing changes and the result is false. Restore
+  /// into a registry that does not already hold campaign state, or
+  /// counts double. A non-finite gauge exports as null and is refused.
+  bool restore(const JsonValue& exported, std::string& error);
 
   /// Catalog metadata resolved for `name` at find-or-create time; null
   /// when the metric does not exist yet or has no catalog entry.
   [[nodiscard]] const MetricMeta* metric_meta(std::string_view name) const;
-
-  /// Plain-data copy of every metric plus its resolved metadata.
-  [[nodiscard]] MetricsSnapshot snapshot() const;
 
   /// Order-stable 64-bit FNV-1a digest of the deterministic metric
   /// surface: every counter (name, value) and gauge (name, IEEE bit
@@ -261,17 +232,31 @@ class Registry {
   [[nodiscard]] std::string to_json(std::string_view bench = {}) const;
   /// Aligned human-readable summary.
   [[nodiscard]] std::string to_text() const;
-  /// to_json() to a file; returns false if the file cannot be written.
+  /// Columnar CSV export, a header and one row per metric:
+  ///
+  ///   metric,type,layer,unit,value,count,sum,mean,min,max,p50,p99,description
+  ///
+  /// Counters and gauges fill `value`, histograms the distribution
+  /// columns (min and max read 0 while empty); a non-finite number is an
+  /// empty cell. `layer`, `unit` and `description` come from the
+  /// catalog (metrics_meta.hpp); an uncataloged metric leaves them blank
+  /// except the unit, which falls back to "count" for a counter and to
+  /// its own unit for a histogram. Cells are quoted per RFC 4180.
+  [[nodiscard]] std::string to_csv() const;
+  /// to_json() / to_csv() to a file; false if the file cannot be written.
   bool write_json(const std::string& path, std::string_view bench = {}) const;
+  bool write_csv(const std::string& path) const;
 
   /// Zero every metric but keep all registrations (handles stay valid).
   void reset_values();
 
  private:
-  /// Resolve catalog metadata for a newly created metric. Caller holds
-  /// mutex_; find_metric_meta itself is lock-free over static data, so
-  /// this is safe from merge_from (which holds two registry mutexes).
-  void attach_meta(std::string_view name);
+  /// Find-or-create with mutex_ held: `make()` builds the metric when
+  /// `name` is new, whose catalog metadata is resolved then
+  /// (find_metric_meta is lock-free over static data, so this is safe
+  /// from merge_from, which holds two registry mutexes).
+  template <typename Metrics, typename Make>
+  auto& find_or_create(Metrics& metrics, std::string_view name, Make make);
 
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;

@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "common/rng.hpp"
-#include "mac/domain_sim.hpp"
+#include "mac/simulator.hpp"
 #include "obs/registry.hpp"
 #include "par/par.hpp"
 #include "traffic/generators.hpp"

@@ -15,6 +15,7 @@
 #include "chaos/checkpoint.hpp"
 #include "chaos/runner.hpp"
 #include "chaos/scenario.hpp"
+#include "common/json.hpp"
 #include "obs/registry.hpp"
 
 namespace carpool {
@@ -83,7 +84,7 @@ CampaignCheckpoint sample_checkpoint() {
   h.record(0.5);
   h.record(1.5);
   h.record(10.0);
-  ck.registry = reg.snapshot();
+  ck.registry = *json_parse(reg.to_json()).value;
   ck.span_watermark = 9001;
   return ck;
 }
@@ -97,7 +98,6 @@ TEST(Checkpoint, JsonRoundTripsEveryField) {
   ASSERT_TRUE(parsed.ok()) << parsed.error.to_string();
   const CampaignCheckpoint& got = *parsed.checkpoint;
 
-  EXPECT_EQ(got.schema_version, chaos::kCheckpointSchemaVersion);
   EXPECT_EQ(got.scenario_name, ck.scenario_name);
   EXPECT_EQ(got.scenario_digest, ck.scenario_digest);
   EXPECT_EQ(got.options_digest, ck.options_digest);
@@ -120,13 +120,15 @@ TEST(Checkpoint, JsonRoundTripsEveryField) {
   EXPECT_DOUBLE_EQ(got.margins[1].second, 0.052734375);
   EXPECT_EQ(got.span_watermark, 9001u);
 
-  // The restored registry snapshot reproduces the original fingerprint
+  // The restored registry export reproduces the original fingerprint
   // and the zero-valued counter registration (export key-set parity).
   obs::Registry restored;
-  restored.restore(got.registry);
   obs::Registry reference;
-  reference.restore(ck.registry);
+  std::string error;
+  ASSERT_TRUE(restored.restore(got.registry, error)) << error;
+  ASSERT_TRUE(reference.restore(ck.registry, error)) << error;
   EXPECT_EQ(restored.fingerprint(), reference.fingerprint());
+  EXPECT_EQ(restored.to_json(), reference.to_json());
   EXPECT_NE(restored.to_json().find("zero.registered"), std::string::npos);
 }
 
@@ -170,6 +172,92 @@ TEST(Checkpoint, ParserRejectsNonIntegralAndOutOfRangeNumbers) {
   EXPECT_FALSE(chaos::checkpoint_from_json(
                    with("\"mac.frames\": 100", "\"mac.frames\": 1e300"))
                    .ok());
+}
+
+std::string read_text(const std::string& path) {
+  std::ifstream in(path);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+TEST(Checkpoint, CorruptRegistryIsRejected) {
+  // A registry section that Registry::restore refuses must fail the
+  // parse or the resume with an error (soak: exit 2, "cannot resume")
+  // and leave the ambient registry as it was, never abort on a throw
+  // from the Histogram constructor.
+  const std::filesystem::path dir = fresh_dir("ckpt_corrupt_registry");
+  SoakOptions opts;
+  opts.threads = 1;
+  std::uint64_t fp = 0;
+  opts.max_frames = run_scoped(ckpt_scenario(), opts, fp).frames_judged * 2;
+  opts.checkpoint_dir = dir.string();
+  {
+    obs::Registry scope;
+    scope.histogram("test.shape", {1.0, 2.0}).record(1.5);
+    const obs::Registry::ScopedCurrent current(scope);
+    ASSERT_FALSE(SoakRunner(opts).run(ckpt_scenario()).checkpoint_path.empty());
+  }
+  const std::string path =
+      chaos::checkpoint_path(dir.string(), ckpt_scenario().name);
+  const std::string good = read_text(path);
+  const CheckpointParseResult parsed = chaos::checkpoint_from_json(good);
+  ASSERT_TRUE(parsed.ok()) << parsed.error.to_string();
+
+  // Resume into a registry that already holds a metric; a rejected
+  // checkpoint must leave it byte-identical.
+  opts.resume = true;
+  const auto expect_resume_refused = [&](obs::Registry& target) {
+    target.counter("test.before").add(4);
+    const std::string before = target.to_json();
+    const obs::Registry::ScopedCurrent current(target);
+    const SoakReport report = SoakRunner(opts).run(ckpt_scenario());
+    EXPECT_NE(report.resume_error.find(": registry"), std::string::npos)
+        << report.resume_error;
+    EXPECT_FALSE(report.resumed);
+    EXPECT_EQ(report.frames_judged, 0u);
+    EXPECT_EQ(target.to_json(), before);
+  };
+
+  // Edit the registry in its single-line export layout, then put it
+  // back into the checkpoint.
+  obs::Registry holder;
+  std::string error;
+  ASSERT_TRUE(holder.restore(parsed.checkpoint->registry, error)) << error;
+  const std::string exported = holder.to_json();
+  struct Case {
+    const char* what;
+    const char* needle;
+    const char* replacement;
+  };
+  const Case cases[] = {
+      {"descending bounds", R"({"le": 2, "count": 1})",
+       R"({"le": 0.5, "count": 1})"},
+      {"no +Inf bucket", R"(, {"le": "+Inf", "count": 0})", ""},
+      {"non-integer bucket count", R"({"le": 2, "count": 1})",
+       R"({"le": 2, "count": 1.5})"},
+  };
+  for (const Case& c : cases) {
+    std::string edited = exported;
+    const std::size_t at = edited.find(c.needle);
+    ASSERT_NE(at, std::string::npos) << c.what;
+    edited.replace(at, std::string(c.needle).size(), c.replacement);
+    CampaignCheckpoint ck = *parsed.checkpoint;
+    ck.registry = *json_parse(edited).value;
+    const std::string text = chaos::checkpoint_to_json(ck);
+    const CheckpointParseResult bad = chaos::checkpoint_from_json(text);
+    ASSERT_FALSE(bad.ok()) << c.what;
+    EXPECT_EQ(bad.error.path, "registry") << c.what;
+    ASSERT_TRUE(chaos::write_state_file_atomic(path, text));
+    obs::Registry target;
+    expect_resume_refused(target);
+  }
+
+  // A well-formed section whose histogram the ambient registry already
+  // holds with other bounds parses, and the resume refuses it.
+  ASSERT_TRUE(chaos::write_state_file_atomic(path, good));
+  obs::Registry target;
+  target.histogram("test.shape", {5.0}).record(1.0);
+  expect_resume_refused(target);
 }
 
 TEST(Checkpoint, DigestsPinScenarioAndSemanticOptions) {

@@ -12,7 +12,6 @@
 
 #include "common/hash.hpp"
 #include "mac/aggregation.hpp"
-#include "mac/domain_sim.hpp"
 #include "mac/energy.hpp"
 #include "mac/params.hpp"
 #include "mac/phy_model.hpp"

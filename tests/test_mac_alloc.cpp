@@ -14,7 +14,7 @@
 #include <cstdlib>
 #include <new>
 
-#include "mac/domain_sim.hpp"
+#include "mac/simulator.hpp"
 #include "traffic/generators.hpp"
 
 namespace {

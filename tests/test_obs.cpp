@@ -18,23 +18,12 @@
 #include "obs/chrome_trace.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
-#include "obs/stats_writer.hpp"
 #include "obs/timer.hpp"
 #include "phy/frame.hpp"
 #include "traffic/generators.hpp"
 
 namespace carpool {
 namespace {
-
-std::vector<std::string> split_lines(const std::string& text) {
-  std::vector<std::string> lines;
-  std::istringstream is(text);
-  std::string line;
-  while (std::getline(is, line)) {
-    if (!line.empty()) lines.push_back(line);
-  }
-  return lines;
-}
 
 TEST(Registry, FindOrCreateReturnsSameHandle) {
   obs::Registry reg;
@@ -195,51 +184,73 @@ TEST(Registry, MetadataSurvivesMerge) {
   EXPECT_NE(target.metric_meta("phy.subframes_decoded"), nullptr);
 }
 
-TEST(Registry, SnapshotRowsCarryValuesAndMeta) {
+TEST(Registry, CsvExportGoldenText) {
+  // Pins the CSV byte for byte: catalog and fallback units, RFC-4180
+  // quoting, an empty cell for NaN, and 0 for an empty histogram's min
+  // and max.
   obs::Registry reg;
-  reg.counter("phy.fcs_failures").add(2);
-  reg.set_gauge("custom.gauge", 0.5);
-  reg.histogram("lat", {10.0, 100.0}, "ns").record(42.0);
-  const obs::MetricsSnapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.counters.size(), 1u);
-  EXPECT_EQ(snap.counters[0].name, "phy.fcs_failures");
-  EXPECT_EQ(snap.counters[0].value, 2u);
-  EXPECT_NE(snap.counters[0].meta, nullptr);
-  ASSERT_EQ(snap.gauges.size(), 1u);
-  EXPECT_EQ(snap.gauges[0].meta, nullptr);  // uncataloged
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_EQ(snap.histograms[0].count, 1u);
-  EXPECT_DOUBLE_EQ(snap.histograms[0].mean, 42.0);
-  EXPECT_EQ(snap.histograms[0].unit, "ns");
+  reg.counter("sim.bss_domains").add(7);  // cataloged, quoted description
+  reg.counter("made.up.count");
+  reg.set_gauge("fig13.bpsk.rte_on_ber", 0.1);  // cataloged prefix family
+  reg.set_gauge("plain, with \"quotes\"", 1.5);
+  reg.set_gauge("g.nan", std::numeric_limits<double>::quiet_NaN());
+  obs::Histogram& lat = reg.histogram("lat", {10.0, 100.0}, "ns");
+  lat.record(42.0);
+  lat.record(250.0);
+  reg.histogram("h.empty", {1.0});
+  reg.latency_histogram("fec.viterbi_decode").record(1234.5);
+  const std::string expected =
+      "metric,type,layer,unit,value,count,sum,mean,min,max,p50,p99,"
+      "description\n"
+      "made.up.count,counter,,count,0,,,,,,,,\n"
+      "sim.bss_domains,counter,sim,count,7,,,,,,,,"
+      "\"Per-(epoch, AP) collision domains simulated\"\n"
+      "fig13.bpsk.rte_on_ber,gauge,bench,ratio,0.1,,,,,,,,"
+      "\"Bit error rate, RTE vs standard estimation (Fig. 13)\"\n"
+      "g.nan,gauge,,,,,,,,,,,\n"
+      "\"plain, with \"\"quotes\"\"\",gauge,,,1.5,,,,,,,,\n"
+      "fec.viterbi_decode,histogram,fec,ns,,1,1234.5,1234.5,1234.5,1234.5,"
+      "2500,2500,Viterbi decode wall time\n"
+      "h.empty,histogram,,,,0,0,0,0,0,0,0,\n"
+      "lat,histogram,,ns,,2,292,146,42,250,250,250,\n";
+  EXPECT_EQ(reg.to_csv(), expected);
 }
 
-TEST(StatsWriter, CsvHasHeaderAndOneRowPerMetric) {
-  obs::Registry reg;
-  reg.counter("phy.fcs_failures").add(7);
-  reg.set_gauge("plain, with comma", 1.5);  // forces RFC-4180 quoting
-  reg.histogram("lat", {10.0, 100.0}, "ns").record(42.0);
-  const std::string csv = obs::StatsWriter::to_csv(reg.snapshot());
-  const auto lines = split_lines(csv);
-  ASSERT_EQ(lines.size(), 4u);  // header + counter + gauge + histogram
-  EXPECT_EQ(lines[0],
-            "metric,type,layer,unit,value,count,sum,mean,min,max,p50,p99,"
-            "description");
-  EXPECT_NE(lines[1].find("phy.fcs_failures,counter,phy"), std::string::npos);
-  EXPECT_NE(lines[1].find(",7,"), std::string::npos);
-  EXPECT_NE(lines[2].find("\"plain, with comma\""), std::string::npos);
-  EXPECT_NE(lines[3].find("lat,histogram"), std::string::npos);
-  EXPECT_NE(lines[3].find(",ns,"), std::string::npos);
-}
-
-TEST(StatsWriter, WriteCsvRoundTrips) {
+TEST(Registry, WriteCsvToFile) {
   obs::Registry reg;
   reg.counter("file.count").add(5);
   const std::string path = testing::TempDir() + "obs_stats.csv";
-  ASSERT_TRUE(obs::StatsWriter::write_csv(path, reg));
+  ASSERT_TRUE(reg.write_csv(path));
   std::ifstream in(path);
   std::stringstream buf;
   buf << in.rdbuf();
-  EXPECT_NE(buf.str().find("file.count,counter"), std::string::npos);
+  EXPECT_EQ(buf.str(), reg.to_csv());
+}
+
+TEST(Registry, ExportRestoresExactly) {
+  // restore() reads to_json() back: a fresh registry given the export
+  // reproduces every exporter's output, with an empty histogram (null
+  // min and max), a zero counter and a histogram without a unit.
+  obs::Registry reg;
+  reg.counter("mac.ls_transition").add(3);
+  reg.counter("zero.registered");
+  reg.set_gauge("g.finite", 0.1);
+  reg.set_gauge("g.tiny", -2.5e-300);
+  obs::Histogram& lat = reg.histogram("h.lat", {1.0, 10.0}, "ns");
+  lat.record(0.5);
+  lat.record(3.0);
+  lat.record(1e6 / 3.0);
+  reg.histogram("h.empty", {1.0, 2.0}, "ms");
+  reg.histogram("h.unitless", {0.5}).record(0.25);
+
+  const JsonParseResult exported = json_parse(reg.to_json());
+  ASSERT_TRUE(exported.ok());
+  obs::Registry restored;
+  std::string error;
+  ASSERT_TRUE(restored.restore(*exported.value, error)) << error;
+  EXPECT_EQ(restored.fingerprint(), reg.fingerprint());
+  EXPECT_EQ(restored.to_json(), reg.to_json());
+  EXPECT_EQ(restored.to_csv(), reg.to_csv());
 }
 
 TEST(Registry, EmptyRegistryExportsWellFormedJson) {
@@ -278,7 +289,7 @@ TEST(ObsWriters, ReportFailureWhenTheFinalFlushFails) {
   obs::Registry reg;
   reg.counter("file.count").add(5);
   EXPECT_FALSE(reg.write_json(path, "full_device"));
-  EXPECT_FALSE(obs::StatsWriter::write_csv(path, reg));
+  EXPECT_FALSE(reg.write_csv(path));
   obs::SpanRecord txop;
   txop.name = "mac.txop";
   txop.sim_start = 0.0;
