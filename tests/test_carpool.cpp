@@ -6,9 +6,11 @@
 #include <limits>
 
 #include "carpool/bloom.hpp"
+#include "carpool/rtscts.hpp"
 #include "carpool/side_channel.hpp"
 #include "carpool/transceiver.hpp"
 #include "channel/fading.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "impair/impair.hpp"
@@ -546,6 +548,65 @@ TEST(CarpoolTransmitter, SideChannelInjectionTogglable) {
   }
   EXPECT_NEAR(preamble_diff, 0.0, 1e-9);
   EXPECT_GT(payload_diff, 1.0);
+}
+
+/// FNV-1a over a waveform's length and the bits of every sample.
+std::uint64_t wave_digest(std::span<const Cx> wave, std::uint64_t h) {
+  h = fnv1a64_u64(wave.size(), h);
+  for (const Cx& s : wave) {
+    h = fnv1a64_u64(std::bit_cast<std::uint64_t>(s.real()), h);
+    h = fnv1a64_u64(std::bit_cast<std::uint64_t>(s.imag()), h);
+  }
+  return h;
+}
+
+TEST(CarpoolTransmitter, WaveformsPinned) {
+  // The three frame builders held to their exact output: every MCS, 1, 2
+  // and 8 subframes, the side channel on, off and with another CRC
+  // scheme. The 8-subframe frame runs past 127 symbols, so the pilot
+  // polarity wraps, and the long legacy frame does too.
+  Rng rng(23);
+  std::uint64_t carpool_digest = kFnv1aBasis;
+  for (std::size_t m = 0; m < 8; ++m) {
+    const auto one = make_subframes(1, 60 + 37 * m, m, rng);
+    carpool_digest = wave_digest(CarpoolTransmitter().build(one),
+                                 carpool_digest);
+  }
+  auto two = make_subframes(2, 150, 3, rng);
+  two[1].mcs_index = 6;
+  CarpoolFrameConfig plain;
+  plain.inject_side_channel = false;
+  CarpoolFrameConfig one_bit;
+  one_bit.crc_scheme = SymbolCrcScheme{PhaseMod::kOneBit, 3};
+  for (const CarpoolFrameConfig& cfg :
+       {CarpoolFrameConfig{}, plain, one_bit}) {
+    carpool_digest =
+        wave_digest(CarpoolTransmitter(cfg).build(two), carpool_digest);
+  }
+  auto eight = make_subframes(8, 300, 0, rng);
+  for (std::size_t i = 0; i < eight.size(); ++i) eight[i].mcs_index = i;
+  ASSERT_GT(CarpoolTransmitter::frame_symbols(eight), 127u);
+  carpool_digest =
+      wave_digest(CarpoolTransmitter().build(eight), carpool_digest);
+
+  std::uint64_t legacy_digest = kFnv1aBasis;
+  for (std::size_t m = 0; m < 8; ++m) {
+    const Bytes psdu = append_fcs(random_psdu(100 + 50 * m, rng));
+    legacy_digest =
+        wave_digest(LegacyTransmitter().build(psdu, mcs(m)), legacy_digest);
+  }
+  const Bytes long_psdu = append_fcs(random_psdu(600, rng));
+  ASSERT_GT(num_data_symbols(mcs(0), long_psdu.size()), 127u);
+  legacy_digest = wave_digest(LegacyTransmitter().build(long_psdu, mcs(0)),
+                              legacy_digest);
+
+  const std::uint64_t rts_digest = wave_digest(
+      build_carpool_rts(two, RtsInfo{MacAddress::for_station(9), 1234}),
+      kFnv1aBasis);
+
+  EXPECT_EQ(carpool_digest, 0xe3b8de4affc9dc47ULL) << std::hex << carpool_digest;
+  EXPECT_EQ(legacy_digest, 0x6b6560d39a80a3d0ULL) << std::hex << legacy_digest;
+  EXPECT_EQ(rts_digest, 0xe64d97cd6c65fab6ULL) << std::hex << rts_digest;
 }
 
 TEST(CarpoolReceiver, PlainPhyFrameDecodes) {

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cmath>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -162,12 +163,24 @@ TEST(Fading, OutputPinned) {
     bool rician;
     std::size_t timing_offset;
     std::uint64_t digest;
+    std::size_t num_taps = 4;
+    std::size_t length = 1000;
   };
   const Case cases[] = {
       {0.0, false, 0, 0x13f5178aaafb6367ULL},
       {0.0, true, 7, 0x9835fe68777ff364ULL},
       {6e3, false, 7, 0xf494105a2e850cfaULL},
       {6e3, true, 0, 0x3e399f630922de31ULL},
+      // Flat fading, and a long delay line under CFO.
+      {0.0, false, 0, 0x179c1da84dc39c93ULL, 1},
+      {6e3, true, 3, 0x3f6dde4a8bde3df6ULL, 8},
+      // A waveform shorter than the delay line: every sample takes the
+      // partial-sum path.
+      {0.0, true, 2, 0x98d281eea6efb74dULL, 8, 5},
+      // An offset at least as long as the waveform: nothing but zeros
+      // reaches the taps, so no noise is added either.
+      {6e3, false, 1000, 0xd1ceb52a1dee2a25ULL, 4, 1000},
+      {0.0, false, 12, 0x81b169c331cabfa5ULL, 8, 5},
   };
   Rng rng(91);
   CxVec tx(1000);
@@ -178,17 +191,19 @@ TEST(Fading, OutputPinned) {
     cfg.cfo_hz = c.cfo_hz;
     cfg.rician_los = c.rician;
     cfg.timing_offset_samples = c.timing_offset;
+    cfg.num_taps = c.num_taps;
     FadingChannel ch(cfg);
     std::uint64_t h = kFnv1aBasis;
     for (int frame = 0; frame < 2; ++frame) {
-      for (const Cx& s : ch.transmit(tx)) {
+      for (const Cx& s : ch.transmit(std::span(tx).first(c.length))) {
         h = fnv1a64_u64(std::bit_cast<std::uint64_t>(s.real()), h);
         h = fnv1a64_u64(std::bit_cast<std::uint64_t>(s.imag()), h);
       }
       ch.idle(1e-5);  // 200 samples: the next frame starts mid-update
     }
     EXPECT_EQ(h, c.digest) << "cfo " << c.cfo_hz << " rician " << c.rician
-                           << " offset " << c.timing_offset;
+                           << " offset " << c.timing_offset << " taps "
+                           << c.num_taps << " length " << c.length;
   }
 }
 
