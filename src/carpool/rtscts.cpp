@@ -48,24 +48,22 @@ CxVec build_carpool_rts(std::span<const SubframeSpec> data_subframes,
     bloom.insert(data_subframes[i].receiver, i);
   }
 
-  CxVec wave = preamble_waveform();
-  std::size_t sym_idx = 0;
-  for (const CxVec& points : encode_ahdr(bloom)) {
-    const CxVec sym = assemble_symbol(points, sym_idx++);
-    wave.insert(wave.end(), sym.begin(), sym.end());
-  }
-
   const Bytes psdu = append_fcs(rts_body(info));
   const Mcs& m = basic_mcs();
-  const SigInfo sig{0, psdu.size()};
-  const CxVec sig_sym = assemble_symbol(encode_sig(sig), sym_idx++);
-  wave.insert(wave.end(), sig_sym.begin(), sig_sym.end());
   const Bits coded = code_data_bits(build_data_bits(psdu, m), m);
-  for (const CxVec& points : modulate_coded(coded, m)) {
-    const CxVec sym = assemble_symbol(points, sym_idx++);
-    wave.insert(wave.end(), sym.begin(), sym.end());
+  const CxVec points = modulate_coded(coded, m);
+  const std::size_t n_sym = points.size() / kNumDataSubcarriers;
+
+  OfdmModulator modulator(preamble_waveform(), kAhdrSymbols + 1 + n_sym);
+  std::size_t sym_idx = 0;
+  for (const CxVec& ahdr : encode_ahdr(bloom)) modulator.add(ahdr, sym_idx++);
+  modulator.add(encode_sig(SigInfo{0, psdu.size()}), sym_idx++);
+  for (std::size_t i = 0; i < n_sym; ++i) {
+    modulator.add(std::span(points).subspan(i * kNumDataSubcarriers,
+                                            kNumDataSubcarriers),
+                  sym_idx++);
   }
-  return wave;
+  return modulator.finish();
 }
 
 CarpoolRtsResult receive_carpool_rts(std::span<const Cx> waveform,

@@ -110,11 +110,10 @@ CxVec CarpoolTransmitter::build(std::span<const SubframeSpec> subframes) const {
     bloom.insert(subframes[i].receiver, i);
   }
 
-  CxVec wave = preamble_waveform();
+  OfdmModulator modulator(preamble_waveform(), frame_symbols(subframes));
   std::size_t sym_idx = 0;
   for (const CxVec& points : encode_ahdr(bloom)) {
-    const CxVec sym = assemble_symbol(points, sym_idx++);
-    wave.insert(wave.end(), sym.begin(), sym.end());
+    modulator.add(points, sym_idx++);
   }
 
   double cumulative = 0.0;
@@ -140,20 +139,15 @@ CxVec CarpoolTransmitter::build(std::span<const SubframeSpec> subframes) const {
       cumulative = offsets.back();
     }
 
-    const CxVec sig_sym =
-        assemble_symbol(encode_sig(sig), sym_idx, offsets[0]);
-    wave.insert(wave.end(), sig_sym.begin(), sig_sym.end());
-    ++sym_idx;
-
-    const std::vector<CxVec> symbols = modulate_coded(coded, m);
-    for (std::size_t j = 0; j < symbols.size(); ++j) {
-      const CxVec sym =
-          assemble_symbol(symbols[j], sym_idx, offsets[j + 1]);
-      wave.insert(wave.end(), sym.begin(), sym.end());
-      ++sym_idx;
+    modulator.add(encode_sig(sig), sym_idx++, offsets[0]);
+    const CxVec points = modulate_coded(coded, m);
+    for (std::size_t j = 1; j < blocks.size(); ++j) {
+      modulator.add(std::span(points).subspan((j - 1) * kNumDataSubcarriers,
+                                              kNumDataSubcarriers),
+                    sym_idx++, offsets[j]);
     }
   }
-  return wave;
+  return modulator.finish();
 }
 
 CarpoolReceiver::CarpoolReceiver(CarpoolRxConfig config) noexcept

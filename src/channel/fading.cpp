@@ -1,5 +1,6 @@
 #include "channel/fading.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -76,44 +77,66 @@ void FadingChannel::evolve(std::size_t samples) {
 }
 
 CxVec FadingChannel::transmit(std::span<const Cx> tx) {
-  // Receiver timing offset: prepend zeros so every sample appears `k`
-  // positions late from the receiver's point of view.
-  CxVec delayed;
-  if (config_.timing_offset_samples > 0) {
-    delayed.assign(config_.timing_offset_samples, Cx{});
-    delayed.insert(delayed.end(), tx.begin(), tx.end());
-    delayed.resize(tx.size());  // receiver window stays the same length
-    tx = delayed;
-  }
+  // Receiver timing offset: output sample n carries input sample n - k, so
+  // every sample appears `k` positions late from the receiver's point of
+  // view and the receiver window keeps its length.
+  const std::size_t offset = std::min(config_.timing_offset_samples, tx.size());
+  const std::span<const Cx> in = tx.first(tx.size() - offset);
   CxVec rx(tx.size());
-  const std::size_t L = config_.num_taps;
-  // With no CFO the phase stays at 0, so the rotation is one constant.
-  Cx rotation = cx_exp(cfo_phase_);
   std::size_t processed = 0;
-  while (processed < tx.size()) {
+  while (processed < rx.size()) {
     const std::size_t chunk =
-        std::min(tx.size() - processed,
+        std::min(rx.size() - processed,
                  config_.update_interval - samples_since_update_);
-    for (std::size_t n = processed; n < processed + chunk; ++n) {
-      Cx acc{};
-      for (std::size_t l = 0; l < L && l <= n; ++l) {
-        acc += taps_[l] * tx[n - l];
-      }
-      rx[n] = acc * rotation;
-      if (cfo_step_ != 0.0) {
-        cfo_phase_ = wrap_angle(cfo_phase_ + cfo_step_);
-        rotation = cx_exp(cfo_phase_);
-      }
-    }
+    convolve(in, offset, processed, processed + chunk, rx);
     evolve(chunk);
     processed += chunk;
   }
 
-  const double signal_power = mean_power(tx);
+  // With no CFO the phase stays at 0, so the rotation is one constant.
+  Cx rotation = cx_exp(cfo_phase_);
+  if (cfo_step_ == 0.0) {
+    for (Cx& s : rx) s *= rotation;
+  } else {
+    for (Cx& s : rx) {
+      s *= rotation;
+      cfo_phase_ = wrap_angle(cfo_phase_ + cfo_step_);
+      rotation = cx_exp(cfo_phase_);
+    }
+  }
+
+  // The delayed waveform's power: its leading zeros add nothing to the
+  // energy, but they count in the mean.
+  const double signal_power =
+      rx.empty() ? 0.0 : energy(in) / static_cast<double>(rx.size());
   if (signal_power > 0.0) {
     add_awgn(rx, noise_power_for_snr(signal_power, config_.snr_db), rng_);
   }
   return rx;
+}
+
+void FadingChannel::convolve(std::span<const Cx> in, std::size_t offset,
+                             std::size_t begin, std::size_t end,
+                             CxVec& rx) const {
+  // rx[n] = sum over taps l of taps_[l] * in[n - offset - l], summed from
+  // +0 in tap order, with the operations of std::complex's `acc += t * x`
+  // for finite samples and no FMA contraction. A term whose input sample
+  // lies before the waveform (or in the offset's zeros) adds an exact
+  // zero to a sum that is never -0, so it is skipped: only the first
+  // L - 1 samples after the offset run short of taps. Each tap sweeps the
+  // whole chunk, so the inner loop runs across samples.
+  double* out = reinterpret_cast<double*>(rx.data());
+  const double* x = reinterpret_cast<const double*>(in.data());
+  for (std::size_t l = 0; l < taps_.size(); ++l) {
+    const double tr = taps_[l].real();
+    const double ti = taps_[l].imag();
+    for (std::size_t n = std::max(begin, offset + l); n < end; ++n) {
+      const double xr = x[2 * (n - offset - l)];
+      const double xi = x[2 * (n - offset - l) + 1];
+      out[2 * n] = out[2 * n] + (tr * xr - ti * xi);
+      out[2 * n + 1] = out[2 * n + 1] + (tr * xi + ti * xr);
+    }
+  }
 }
 
 void FadingChannel::idle(double seconds) {

@@ -58,6 +58,10 @@ class FadingChannel {
  private:
   void init_taps();
   void evolve(std::size_t samples);
+  /// The current taps applied to output samples [begin, end), where
+  /// output n reads in[n - offset]; accumulates into rx, which starts at 0.
+  void convolve(std::span<const Cx> in, std::size_t offset, std::size_t begin,
+                std::size_t end, CxVec& rx) const;
 
   FadingConfig config_;
   Rng rng_;

@@ -5,10 +5,11 @@
 namespace carpool {
 
 Bits bytes_to_bits(std::span<const std::uint8_t> bytes) {
-  Bits out;
-  out.reserve(bytes.size() * 8);
-  for (const std::uint8_t byte : bytes) {
-    for (int i = 0; i < 8; ++i) out.push_back((byte >> i) & 1u);
+  Bits out(bytes.size() * 8);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    for (std::size_t b = 0; b < 8; ++b) {
+      out[8 * i + b] = static_cast<std::uint8_t>((bytes[i] >> b) & 1u);
+    }
   }
   return out;
 }

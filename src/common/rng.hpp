@@ -6,8 +6,10 @@
 
 #include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 
 #include "common/hash.hpp"
 
@@ -88,23 +90,31 @@ class Rng {
     }
   }
 
-  /// Standard normal via Marsaglia polar method.
+  /// Standard normal via Marsaglia polar method. Each accepted point
+  /// gives two values; the second is kept as a spare for the next call.
   double gaussian() noexcept {
     if (have_spare_) {
       have_spare_ = false;
       return spare_;
     }
-    double u = 0, v = 0, s = 0;
-    do {
-      u = uniform(-1.0, 1.0);
-      v = uniform(-1.0, 1.0);
-      s = u * u + v * v;
-    } while (s >= 1.0 || s == 0.0);
-    const double factor = std::sqrt(-2.0 * std::log(s) / s);
-    spare_ = v * factor;
+    PolarPoint p;
+    while (!polar_candidate(p)) {
+    }
+    double first = 0.0;
+    polar_finish(p, std::log(p.s), first, spare_);
     have_spare_ = true;
-    return u * factor;
+    return first;
   }
+
+  /// Values gaussians() draws per block.
+  static constexpr std::size_t kGaussianBlock = 128;
+
+  /// Fill `out` with standard normals: exactly the values of out.size()
+  /// gaussian() calls, spare included, leaving the same state behind. A
+  /// block of points is drawn first, then their logs are taken, then they
+  /// are finished, so the rejection branch and the log calls do not stall
+  /// each other.
+  void gaussians(std::span<double> out) noexcept;
 
   double gaussian(double mean, double stddev) noexcept {
     return mean + stddev * gaussian();
@@ -122,6 +132,32 @@ class Rng {
   bool bernoulli(double p) noexcept { return uniform() < p; }
 
  private:
+  /// A point accepted by the polar method: (u, v) uniform in the unit
+  /// disc without its centre, s = u^2 + v^2.
+  struct PolarPoint {
+    double u;
+    double v;
+    double s;
+  };
+
+  /// Draw one candidate point into `p`; true when the polar method
+  /// accepts it (0 < s < 1). Branch-free, so a block of draws can keep
+  /// the accepted ones without a mispredicted branch per rejection.
+  bool polar_candidate(PolarPoint& p) noexcept {
+    p.u = uniform(-1.0, 1.0);
+    p.v = uniform(-1.0, 1.0);
+    p.s = p.u * p.u + p.v * p.v;
+    return (p.s < 1.0) & (p.s != 0.0);
+  }
+
+  /// The two normals of an accepted point, given log(s).
+  static void polar_finish(const PolarPoint& p, double log_s, double& first,
+                           double& second) noexcept {
+    const double factor = std::sqrt(-2.0 * log_s / p.s);
+    first = p.u * factor;
+    second = p.v * factor;
+  }
+
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));
   }

@@ -1,5 +1,6 @@
 #include "fec/convolutional.hpp"
 
+#include <algorithm>
 #include <array>
 #include <stdexcept>
 
@@ -27,6 +28,15 @@ std::span<const bool> keep_mask(CodeRate rate) {
       return kKeep56;
   }
   throw std::logic_error("unknown CodeRate");
+}
+
+/// How many of the first `n` rate-1/2 positions `mask` keeps.
+std::size_t kept_bits(std::span<const bool> mask, std::size_t n) {
+  const auto per_period = static_cast<std::size_t>(
+      std::count(mask.begin(), mask.end(), true));
+  const auto rest = static_cast<std::size_t>(std::count(
+      mask.begin(), mask.begin() + static_cast<long>(n % mask.size()), true));
+  return n / mask.size() * per_period + rest;
 }
 
 }  // namespace
@@ -58,13 +68,13 @@ SoftBits bits_to_soft(std::span<const std::uint8_t> bits) {
 }
 
 Bits ConvolutionalCode::encode(std::span<const std::uint8_t> data) {
-  Bits out;
-  out.reserve(data.size() * 2);
+  Bits out(data.size() * 2);
   unsigned shift = 0;  // holds the last K-1 input bits
-  for (const std::uint8_t bit : data) {
-    const unsigned window = ((bit & 1u) << (kConstraintLength - 1)) | shift;
-    out.push_back(parity(window & kG0));
-    out.push_back(parity(window & kG1));
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    const unsigned window =
+        ((data[i] & 1u) << (kConstraintLength - 1)) | shift;
+    out[2 * i] = parity(window & kG0);
+    out[2 * i + 1] = parity(window & kG1);
     shift = window >> 1;
   }
   return out;
@@ -81,10 +91,12 @@ Bits ConvolutionalCode::puncture(std::span<const std::uint8_t> coded,
                                  CodeRate rate) {
   if (rate == CodeRate::kHalf) return Bits(coded.begin(), coded.end());
   const auto mask = keep_mask(rate);
-  Bits out;
-  out.reserve(coded.size());
-  for (std::size_t i = 0; i < coded.size(); ++i) {
-    if (mask[i % mask.size()]) out.push_back(coded[i]);
+  Bits out(kept_bits(mask, coded.size()));
+  std::size_t kept = 0;
+  std::size_t phase = 0;  // position within the mask period
+  for (const std::uint8_t bit : coded) {
+    if (mask[phase]) out[kept++] = bit;
+    if (++phase == mask.size()) phase = 0;
   }
   return out;
 }
@@ -95,16 +107,14 @@ SoftBits ConvolutionalCode::depuncture(std::span<const double> soft,
   const auto mask = keep_mask(rate);
   SoftBits out;
   out.reserve(soft.size() * 2);
-  std::size_t in = 0;
-  for (std::size_t pos = 0; in < soft.size(); ++pos) {
-    if (mask[pos % mask.size()]) {
-      out.push_back(soft[in++]);
-    } else {
-      out.push_back(0.0);  // erasure
-    }
+  std::size_t phase = 0;
+  for (std::size_t in = 0; in < soft.size();) {
+    // A punctured position is an erasure.
+    out.push_back(mask[phase] ? soft[in++] : 0.0);
+    if (++phase == mask.size()) phase = 0;
   }
   // Complete the trailing period with erasures so length is a multiple of 2.
-  while (out.size() % 2 != 0) out.push_back(0.0);
+  if (out.size() % 2 != 0) out.push_back(0.0);
   return out;
 }
 
@@ -112,12 +122,7 @@ std::size_t ConvolutionalCode::coded_length(std::size_t data_bits,
                                             CodeRate rate) {
   const std::size_t full = 2 * (data_bits + kConstraintLength - 1);
   if (rate == CodeRate::kHalf) return full;
-  const auto mask = keep_mask(rate);
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < full; ++i) {
-    if (mask[i % mask.size()]) ++kept;
-  }
-  return kept;
+  return kept_bits(keep_mask(rate), full);
 }
 
 }  // namespace carpool

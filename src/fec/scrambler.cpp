@@ -1,5 +1,6 @@
 #include "fec/scrambler.hpp"
 
+#include <array>
 #include <stdexcept>
 
 namespace carpool {
@@ -21,10 +22,36 @@ std::uint8_t Scrambler::next_bit() noexcept {
 }
 
 Bits Scrambler::process(std::span<const std::uint8_t> bits) {
-  Bits out;
-  out.reserve(bits.size());
-  for (const std::uint8_t bit : bits) {
-    out.push_back(static_cast<std::uint8_t>((bit ^ next_bit()) & 1u));
+  // Eight LFSR steps per lookup: for each state, the 8 bits next_bit()
+  // emits from it (the first in bit 0) and the state it ends in.
+  struct Step {
+    std::uint8_t bits;
+    std::uint8_t next;
+  };
+  static const std::array<Step, 128> kSteps = [] {
+    std::array<Step, 128> steps{};
+    for (unsigned seed = 1; seed < steps.size(); ++seed) {
+      Scrambler lfsr(static_cast<std::uint8_t>(seed));
+      for (unsigned b = 0; b < 8; ++b) {
+        steps[seed].bits |= static_cast<std::uint8_t>(lfsr.next_bit() << b);
+      }
+      steps[seed].next = lfsr.state_;
+    }
+    return steps;
+  }();
+
+  Bits out(bits.size());
+  std::size_t i = 0;
+  for (; i + 8 <= bits.size(); i += 8) {
+    const Step step = kSteps[state_];
+    for (unsigned b = 0; b < 8; ++b) {
+      out[i + b] =
+          static_cast<std::uint8_t>((bits[i + b] ^ (step.bits >> b)) & 1u);
+    }
+    state_ = step.next;
+  }
+  for (; i < bits.size(); ++i) {
+    out[i] = static_cast<std::uint8_t>((bits[i] ^ next_bit()) & 1u);
   }
   return out;
 }

@@ -167,7 +167,9 @@ constexpr std::array kCatalog{
     CatalogEntry{"phy.equalize",
                  {"ns", "phy", "Per-symbol equalization wall time"}},
     CatalogEntry{"phy.ofdm_modulate",
-                 {"ns", "phy", "OFDM modulation (IFFT + CP) wall time"}},
+                 {"ns", "phy", "OFDM modulation wall time, one sample per "
+                               "group of up to 32 symbols (batched IFFT + "
+                               "CP)"}},
     CatalogEntry{"phy.ofdm_demodulate",
                  {"ns", "phy", "OFDM demodulation (FFT) wall time"}},
     CatalogEntry{"fec.viterbi_decode",

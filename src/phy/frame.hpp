@@ -56,10 +56,9 @@ Bits build_data_bits(std::span<const std::uint8_t> psdu, const Mcs& m);
 /// multiple of n_cbps.
 Bits code_data_bits(std::span<const std::uint8_t> data_bits, const Mcs& m);
 
-/// Per-symbol constellation points: interleave + map each n_cbps block.
-/// Returns one 48-point vector per OFDM symbol.
-std::vector<CxVec> modulate_coded(std::span<const std::uint8_t> coded,
-                                  const Mcs& m);
+/// Constellation points: interleave + map each n_cbps block. Returns 48
+/// points per OFDM symbol, symbol s at offset s * 48.
+CxVec modulate_coded(std::span<const std::uint8_t> coded, const Mcs& m);
 
 /// --- RX data path (shared with Carpool) ---
 

@@ -57,29 +57,65 @@ double pilot_polarity(std::size_t symbol_index) noexcept {
   return kPolarity[symbol_index % kPolarity.size()];
 }
 
+OfdmModulator::OfdmModulator(std::span<const Cx> head, std::size_t symbols) {
+  wave_.reserve(head.size() + symbols * kSymbolLen);
+  wave_.assign(head.begin(), head.end());
+  queue_.reserve(std::min(symbols, kGroup));
+}
+
+void OfdmModulator::add(std::span<const Cx> data, std::size_t symbol_index,
+                        double phase_offset) {
+  if (data.size() != kNumDataSubcarriers) {
+    throw std::invalid_argument("OfdmModulator: need 48 data points");
+  }
+  Queued& q = queue_.emplace_back();
+  std::copy(data.begin(), data.end(), q.data.begin());
+  q.symbol_index = symbol_index;
+  q.phase_offset = phase_offset;
+  if (queue_.size() == kGroup) flush();
+}
+
+CxVec OfdmModulator::finish() {
+  flush();
+  return std::move(wave_);
+}
+
+void OfdmModulator::flush() {
+  if (queue_.empty()) return;
+  OBS_TIMED_SPAN("phy.ofdm_modulate");
+  const std::size_t count = queue_.size();
+  bins_.assign(count * kFftSize, Cx{});
+  for (std::size_t s = 0; s < count; ++s) {
+    const Queued& q = queue_[s];
+    Cx* bins = bins_.data() + s * kFftSize;
+    const Cx rotation = cx_exp(q.phase_offset);
+    for (std::size_t i = 0; i < kNumDataSubcarriers; ++i) {
+      bins[kDataBins[i]] = q.data[i] * rotation;
+    }
+    const double polarity = pilot_polarity(q.symbol_index);
+    for (std::size_t i = 0; i < kNumPilots; ++i) {
+      bins[kPilotBins[i]] = Cx{kPilotBase[i] * polarity, 0.0} * rotation;
+    }
+  }
+  // The inverse transform, then ifft's 1/N and the power scale, as two
+  // multiplies like ifft() and scale() run them.
+  dsp::active_backend().fft_batch(bins_.data(), kFftSize, count, +1);
+  const double inv_n = 1.0 / static_cast<double>(kFftSize);
+  for (Cx& x : bins_) x *= inv_n;
+  scale(bins_, kScale);
+  for (std::size_t s = 0; s < count; ++s) {
+    const auto time = bins_.begin() + static_cast<long>(s * kFftSize);
+    wave_.insert(wave_.end(), time + (kFftSize - kCpLen), time + kFftSize);
+    wave_.insert(wave_.end(), time, time + kFftSize);
+  }
+  queue_.clear();
+}
+
 CxVec assemble_symbol(std::span<const Cx> data, std::size_t symbol_index,
                       double phase_offset) {
-  if (data.size() != kNumDataSubcarriers) {
-    throw std::invalid_argument("assemble_symbol: need 48 data points");
-  }
-  OBS_TIMED_SPAN("phy.ofdm_modulate");
-  CxVec bins(kFftSize, Cx{});
-  const Cx rotation = cx_exp(phase_offset);
-  for (std::size_t i = 0; i < kNumDataSubcarriers; ++i) {
-    bins[kDataBins[i]] = data[i] * rotation;
-  }
-  const double polarity = pilot_polarity(symbol_index);
-  for (std::size_t i = 0; i < kNumPilots; ++i) {
-    bins[kPilotBins[i]] = Cx{kPilotBase[i] * polarity, 0.0} * rotation;
-  }
-  CxVec time = ifft(bins);
-  scale(time, kScale);
-
-  CxVec symbol;
-  symbol.reserve(kSymbolLen);
-  symbol.insert(symbol.end(), time.end() - kCpLen, time.end());
-  symbol.insert(symbol.end(), time.begin(), time.end());
-  return symbol;
+  OfdmModulator modulator({}, 1);
+  modulator.add(data, symbol_index, phase_offset);
+  return modulator.finish();
 }
 
 CxVec extract_symbol(std::span<const Cx> samples) {

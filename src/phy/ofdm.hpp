@@ -7,6 +7,7 @@
 #include <array>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "dsp/complex_vec.hpp"
 
@@ -34,11 +35,48 @@ std::span<const double> pilot_base() noexcept;
 /// Index 0 is used by the SIG symbol.
 double pilot_polarity(std::size_t symbol_index) noexcept;
 
-/// Build one OFDM symbol (80 time samples).
-///  - `data`: 48 complex points mapped onto the data subcarriers
-///  - `symbol_index`: selects pilot polarity
-///  - `phase_offset`: extra rotation applied to *all* data and pilot
-///    subcarriers — the Carpool side-channel injection (0 for legacy)
+/// Modulates a frame's OFDM symbols into one waveform. Each symbol is
+/// queued as its 48 data points, symbol index and side-channel phase; a
+/// full group is inverse-transformed with one dsp::fft_batch sweep and
+/// written, cyclic prefix first, into a waveform reserved at its final
+/// length. The output is bit for bit what a per-symbol IFFT gives.
+class OfdmModulator {
+ public:
+  /// Symbols per IFFT sweep: a multiple of 8, so every SIMD tier fills
+  /// its lanes.
+  static constexpr std::size_t kGroup = 32;
+
+  /// Start a waveform with `head` (a preamble, or nothing) and room for
+  /// `symbols` OFDM symbols after it.
+  OfdmModulator(std::span<const Cx> head, std::size_t symbols);
+
+  /// Queue one symbol.
+  ///  - `data`: 48 complex points mapped onto the data subcarriers
+  ///  - `symbol_index`: selects pilot polarity
+  ///  - `phase_offset`: extra rotation applied to *all* data and pilot
+  ///    subcarriers — the Carpool side-channel injection (0 for legacy)
+  void add(std::span<const Cx> data, std::size_t symbol_index,
+           double phase_offset = 0.0);
+
+  /// Modulate whatever is still queued and hand over the waveform.
+  [[nodiscard]] CxVec finish();
+
+ private:
+  struct Queued {
+    std::array<Cx, kNumDataSubcarriers> data;
+    std::size_t symbol_index;
+    double phase_offset;
+  };
+
+  void flush();
+
+  CxVec wave_;
+  std::vector<Queued> queue_;
+  CxVec bins_;  ///< one group's 64-point transforms, back to back
+};
+
+/// Build one OFDM symbol (80 time samples): the one-symbol case of
+/// OfdmModulator, same arguments as OfdmModulator::add.
 CxVec assemble_symbol(std::span<const Cx> data, std::size_t symbol_index,
                       double phase_offset = 0.0);
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -54,6 +55,40 @@ TEST(Rng, GaussianMoments) {
   for (int i = 0; i < 100000; ++i) stats.add(rng.gaussian());
   EXPECT_NEAR(stats.mean(), 0.0, 0.02);
   EXPECT_NEAR(stats.stddev(), 1.0, 0.02);
+}
+
+TEST(Rng, GaussianBlockMatchesCalls) {
+  // gaussians(out) must be out.size() gaussian() calls: the same values
+  // bit for bit and the same state afterwards, spare included, whether or
+  // not a spare is pending when it is entered.
+  const std::size_t block = Rng::kGaussianBlock;
+  for (const std::size_t count :
+       {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3},
+        block - 1, block, block + 1, 5 * block + 3}) {
+    for (const bool spare : {false, true}) {
+      Rng by_block(77);
+      Rng by_call(77);
+      if (spare) {
+        (void)by_block.gaussian();
+        (void)by_call.gaussian();
+      }
+      std::vector<double> got(count);
+      by_block.gaussians(got);
+      for (std::size_t i = 0; i < count; ++i) {
+        const double want = by_call.gaussian();
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                  std::bit_cast<std::uint64_t>(want))
+            << "count " << count << " spare " << spare << " value " << i;
+      }
+      // The next draws read any spare first, then the raw stream.
+      for (int k = 0; k < 3; ++k) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(by_block.gaussian()),
+                  std::bit_cast<std::uint64_t>(by_call.gaussian()))
+            << "count " << count << " spare " << spare << " after " << k;
+      }
+      EXPECT_EQ(by_block(), by_call()) << "count " << count;
+    }
+  }
 }
 
 TEST(Rng, ExponentialMean) {

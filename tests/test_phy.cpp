@@ -528,15 +528,17 @@ TEST(DataPath, HardDemapMatchesTxCodedBits) {
   for (const Mcs& m : mcs_table()) {
     Bits coded(m.n_cbps * 2);
     for (auto& b : coded) b = static_cast<std::uint8_t>(rng.uniform_int(2));
-    const auto symbols = modulate_coded(coded, m);
-    ASSERT_EQ(symbols.size(), 2u);
+    const CxVec points = modulate_coded(coded, m);
+    ASSERT_EQ(points.size(), 2 * kNumDataSubcarriers);
     for (std::size_t s = 0; s < 2; ++s) {
+      const std::span<const Cx> symbol = std::span(points).subspan(
+          s * kNumDataSubcarriers, kNumDataSubcarriers);
       CxVec decided(kNumDataSubcarriers);
-      const Bits back = demap_symbol_hard(symbols[s], m.modulation, decided);
+      const Bits back = demap_symbol_hard(symbol, m.modulation, decided);
       const Bits expect(coded.begin() + static_cast<long>(s * m.n_cbps),
                         coded.begin() + static_cast<long>((s + 1) * m.n_cbps));
       EXPECT_EQ(back, expect) << m.name;
-      EXPECT_EQ(decided, symbols[s]) << m.name;
+      EXPECT_EQ(decided, CxVec(symbol.begin(), symbol.end())) << m.name;
     }
   }
 }
