@@ -25,7 +25,7 @@ int main() {
               trace.total_stas);
 
   bench::banner("Fig. 1(b)", "frame size CDF",
-                ">50%% of SIGCOMM and >90%% of library downlink frames "
+                ">50% of SIGCOMM and >90% of library downlink frames "
                 "are smaller than 300 B");
   std::printf("%10s %10s %10s\n", "bytes", "SIGCOMM", "Library");
   const FrameSizeDistribution sigcomm(TraceKind::kSigcomm);
@@ -37,7 +37,7 @@ int main() {
   }
 
   bench::banner("Fig. 1(c)", "downlink traffic volume ratio",
-                "SIGCOMM'04 80%%, SIGCOMM'08 83.4%%, Library 89.2%%");
+                "SIGCOMM'04 80%, SIGCOMM'08 83.4%, Library 89.2%");
   struct Row {
     const char* name;
     double target;

@@ -49,7 +49,7 @@ int main() {
   bench::banner("Fig. 11", "BER of PHY with phase offset side channel vs "
                            "standard PHY",
                 "curves for the two PHYs nearly coincide at every "
-                "modulation and power (1.02%%-5.49%% relative difference)");
+                "modulation and power (1.02%-5.49% relative difference)");
 
   std::printf("%8s %10s %14s %14s %10s\n", "mod", "power", "standard BER",
               "w/ side-ch BER", "rel diff");

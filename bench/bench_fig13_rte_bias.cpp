@@ -64,7 +64,7 @@ void run_modulation(Modulation mod, std::size_t bytes) {
 int main() {
   bench::banner("Fig. 13", "BER bias: RTE vs standard channel estimation",
                 "RTE flattens the BER-vs-symbol-index curve; overall BER "
-                "reduced 65%% (QAM64) and 27%% (QAM16)");
+                "reduced 65% (QAM64) and 27% (QAM16)");
   run_modulation(Modulation::kQam64, 4000);
   run_modulation(Modulation::kQam16, 4000);
   bench::write_metrics("fig13_rte_bias");

@@ -13,8 +13,8 @@ using namespace carpool;
 
 int main() {
   bench::banner("Sec. 4.1", "A-HDR Bloom filter false-positive analysis",
-                "r_FP = (1-e^{-hN/48})^h, 0.31%-5.59%% for N=4..8; "
-                "A-HDR is 12.5%% of an 8-address list");
+                "r_FP = (1-e^{-hN/48})^h, 0.31%-5.59% for N=4..8; "
+                "A-HDR is 12.5% of an 8-address list");
 
   std::printf("%4s %6s %12s %12s %14s\n", "N", "h*", "r_FP(h*)",
               "r_FP(h=4)", "empirical(h=4)");

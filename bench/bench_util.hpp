@@ -87,6 +87,8 @@ inline void apply_kernel_flag(const char* prog, const char* text) {
   std::exit(2);
 }
 
+/// `paper_says` is printed as it is (through %s), so a percent sign in it
+/// is written once, not as "%%".
 inline void banner(const char* figure, const char* what,
                    const char* paper_says) {
   std::printf(
@@ -124,9 +126,19 @@ struct RawBer {
   std::vector<std::size_t> bits_per_symbol;
   std::size_t total_errors = 0;
   std::size_t total_bits = 0;
+  /// Subframes whose SIG decoded to another MCS or length than was sent.
+  std::size_t sig_failures = 0;
 
-  void add(const DecodedSubframe& sub, const Bits& reference,
-           std::size_t n_cbps) {
+  /// Compare one decoded subframe's raw bits with the coded bits sent.
+  /// A subframe read under another SIG demapped other symbols at another
+  /// modulation, so it counts as a SIG failure, not as bit errors.
+  void add(const DecodedSubframe& sub, const SigInfo& sent,
+           const Bits& reference, std::size_t n_cbps) {
+    if (sub.sig.mcs_index != sent.mcs_index ||
+        sub.sig.length_bytes != sent.length_bytes) {
+      ++sig_failures;
+      return;
+    }
     if (errors_per_symbol.size() < sub.raw_symbol_bits.size()) {
       errors_per_symbol.resize(sub.raw_symbol_bits.size(), 0);
       bits_per_symbol.resize(sub.raw_symbol_bits.size(), 0);
@@ -174,6 +186,7 @@ inline LinkRun run_link(const std::vector<SubframeSpec>& subframes,
   const CarpoolTransmitter tx(txcfg);
   const CxVec wave = tx.build(subframes);
   const Mcs& m = mcs(subframes[0].mcs_index);
+  const SigInfo sent{subframes[0].mcs_index, subframes[0].psdu.size()};
   const Bits reference =
       code_data_bits(build_data_bits(subframes[0].psdu, m), m);
   const std::vector<unsigned> tx_side =
@@ -193,7 +206,7 @@ inline LinkRun run_link(const std::vector<SubframeSpec>& subframes,
     const CarpoolRxResult result = rx.receive(rx_wave);
     for (const DecodedSubframe& sub : result.subframes) {
       if (sub.index != 0) continue;
-      out.raw.add(sub, reference, m.n_cbps);
+      out.raw.add(sub, sent, reference, m.n_cbps);
       out.fcs_fail.add(!sub.fcs_ok);
       if (rxcfg.side_channel_present && txcfg.inject_side_channel) {
         const std::size_t n = std::min(sub.side_bits.size(), tx_side.size());
