@@ -48,10 +48,6 @@ class BitWriter {
     for (std::size_t i = 0; i < count; ++i) put_bit((value >> i) & 1u);
   }
 
-  void append(std::span<const std::uint8_t> more) {
-    bits_.insert(bits_.end(), more.begin(), more.end());
-  }
-
   [[nodiscard]] const Bits& bits() const noexcept { return bits_; }
   [[nodiscard]] Bits take() noexcept { return std::move(bits_); }
   [[nodiscard]] std::size_t size() const noexcept { return bits_.size(); }
