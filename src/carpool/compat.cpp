@@ -18,7 +18,7 @@ FrameKind classify_waveform(std::span<const Cx> waveform) {
 
   // Hypothesis 1: legacy — the first symbol is a valid SIG.
   {
-    const CxVec bins = extract_symbol(fe.window(fe.data_start, kSymbolLen));
+    const CxVec bins = fe.symbols(fe.data_start, 1);
     const SymbolEqualization eq = equalize_symbol(bins, fe.h, 0);
     if (decode_sig(eq.data, eq.gains).has_value()) {
       return FrameKind::kLegacy;
@@ -27,8 +27,7 @@ FrameKind classify_waveform(std::span<const Cx> waveform) {
 
   // Hypothesis 2: Carpool — two A-HDR symbols followed by a valid SIG.
   if (waveform.size() >= fe.data_start + 3 * kSymbolLen) {
-    const CxVec bins =
-        extract_symbol(fe.window(fe.data_start + 2 * kSymbolLen, kSymbolLen));
+    const CxVec bins = fe.symbols(fe.data_start + 2 * kSymbolLen, 1);
     const SymbolEqualization eq = equalize_symbol(bins, fe.h, 2);
     if (decode_sig(eq.data, eq.gains).has_value()) {
       return FrameKind::kCarpool;

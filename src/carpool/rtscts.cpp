@@ -76,18 +76,18 @@ CarpoolRtsResult receive_carpool_rts(std::span<const Cx> waveform,
 
   std::size_t pos = fe.data_start;
   std::size_t sym_idx = 0;
-  const CxVec bins0 = extract_symbol(fe.window(pos, kSymbolLen));
+  const CxVec ahdr_bins = fe.symbols(pos, kAhdrSymbols);
+  const std::span<const Cx> bins0(ahdr_bins.data(), kFftSize);
+  const std::span<const Cx> bins1(ahdr_bins.data() + kFftSize, kFftSize);
   const SymbolEqualization eq0 = equalize_symbol(bins0, fe.h, sym_idx++);
-  pos += kSymbolLen;
-  const CxVec bins1 = extract_symbol(fe.window(pos, kSymbolLen));
   const SymbolEqualization eq1 = equalize_symbol(bins1, fe.h, sym_idx++);
-  pos += kSymbolLen;
+  pos += kAhdrSymbols * kSymbolLen;
   const Bits ahdr = decode_ahdr(eq0.data, eq0.gains, eq1.data, eq1.gains);
   const auto bloom = AggregationBloomFilter::from_bits(ahdr, bloom_hashes);
   result.my_slots = bloom.matched_subframes(self);
 
   // Control body (always present; every station may read it to set NAV).
-  const CxVec sig_bins = extract_symbol(fe.window(pos, kSymbolLen));
+  const CxVec sig_bins = fe.symbols(pos, 1);
   const SymbolEqualization sig_eq = equalize_symbol(sig_bins, fe.h, sym_idx);
   const auto sig = decode_sig(sig_eq.data, sig_eq.gains);
   if (!sig || sig->mcs_index != 0) return result;
@@ -96,9 +96,9 @@ CarpoolRtsResult receive_carpool_rts(std::span<const Cx> waveform,
   if (pos + (1 + n_sym) * kSymbolLen > waveform.size()) return result;
 
   SoftBits soft;
+  const CxVec body_bins = fe.symbols(pos + kSymbolLen, n_sym);
   for (std::size_t j = 0; j < n_sym; ++j) {
-    const CxVec bins =
-        extract_symbol(fe.window(pos + (1 + j) * kSymbolLen, kSymbolLen));
+    const std::span<const Cx> bins(body_bins.data() + j * kFftSize, kFftSize);
     const SymbolEqualization eq = equalize_symbol(bins, fe.h, sym_idx + 1 + j);
     demap_symbol_soft(eq.data, eq.gains, m.modulation, soft);
   }

@@ -215,12 +215,12 @@ CarpoolRxResult CarpoolReceiver::receive_impl(
   std::size_t sym_idx = 0;
 
   // A-HDR (two BPSK symbols, never phase-injected).
-  const CxVec bins0 = extract_symbol(fe.window(pos, kSymbolLen));
+  const CxVec ahdr_bins = fe.symbols(pos, kAhdrSymbols);
+  const std::span<const Cx> bins0(ahdr_bins.data(), kFftSize);
+  const std::span<const Cx> bins1(ahdr_bins.data() + kFftSize, kFftSize);
   const SymbolEqualization eq0 = equalize_symbol(bins0, h, sym_idx++);
-  pos += kSymbolLen;
-  const CxVec bins1 = extract_symbol(fe.window(pos, kSymbolLen));
   const SymbolEqualization eq1 = equalize_symbol(bins1, h, sym_idx++);
-  pos += kSymbolLen;
+  pos += kAhdrSymbols * kSymbolLen;
 
   const Bits ahdr_bits =
       decode_ahdr(eq0.data, eq0.gains, eq1.data, eq1.gains);
@@ -244,7 +244,7 @@ CarpoolRxResult CarpoolReceiver::receive_impl(
       result.status = DecodeStatus::kTruncated;
       break;
     }
-    const CxVec sig_bins = extract_symbol(fe.window(pos, kSymbolLen));
+    const CxVec sig_bins = fe.symbols(pos, 1);
     const SymbolEqualization sig_eq = equalize_symbol(sig_bins, h, sym_idx);
     const auto sig = decode_sig(sig_eq.data, sig_eq.gains);
     if (!sig) {
@@ -275,8 +275,7 @@ CarpoolRxResult CarpoolReceiver::receive_impl(
       // reference chain alive and mirrors the paper's sampling-without-
       // decoding energy optimisation). The tracked phase is the last data
       // symbol's pilot phase (n_sym >= 1), so only that symbol is read.
-      const CxVec last_bins =
-          extract_symbols(fe.window(pos + n_sym * kSymbolLen, kSymbolLen), 1);
+      const CxVec last_bins = fe.symbols(pos + n_sym * kSymbolLen, 1);
       prev_phase = equalize_symbol(last_bins, h, sym_idx + n_sym).phase_offset;
       result.symbols_pilot_only += 1 + n_sym;
       pos += (1 + n_sym) * kSymbolLen;
@@ -373,8 +372,7 @@ CarpoolRxResult CarpoolReceiver::receive_impl(
 
     SoftBits soft;
     soft.reserve(n_avail * m.n_cbps);
-    const CxVec sub_bins = extract_symbols(
-        fe.window(pos + kSymbolLen, n_avail * kSymbolLen), n_avail);
+    const CxVec sub_bins = fe.symbols(pos + kSymbolLen, n_avail);
     for (std::size_t j = 0; j < n_avail; ++j) {
       const std::span<const Cx> bins(sub_bins.data() + j * kFftSize,
                                      kFftSize);

@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <limits>
 
+#include "common/bits.hpp"
 #include "dsp/complex_vec.hpp"
 #include "dsp/kernels.hpp"
 
@@ -83,6 +84,24 @@ inline void equalize_one(Cx bin, Cx h, Cx derotate, Cx& data_out,
   double qr, qi;
   smith_div(bin.real(), bin.imag(), c, d, qr, qi);
   data_out = cx_mul(Cx{qr, qi}, derotate);
+}
+
+/// The Viterbi branch tables (viterbi_tables() holds one copy). A
+/// constant expression, so the SIMD tiers can plan their branch sums at
+/// compile time.
+constexpr ViterbiTables make_viterbi_tables() noexcept {
+  ViterbiTables tb{};
+  for (std::size_t n = 0; n < kViterbiStates; ++n) {
+    const unsigned bit = static_cast<unsigned>(n >> 5);
+    const unsigned p0 = static_cast<unsigned>(2 * (n & 31));
+    const unsigned w0 = (bit << 6) | p0;        // window of the even edge
+    const unsigned w1 = (bit << 6) | (p0 + 1);  // window of the odd edge
+    tb.s00[n] = parity(w0 & kViterbiG0) ? 1.0 : -1.0;
+    tb.s01[n] = parity(w0 & kViterbiG1) ? 1.0 : -1.0;
+    tb.s10[n] = parity(w1 & kViterbiG0) ? 1.0 : -1.0;
+    tb.s11[n] = parity(w1 & kViterbiG1) ? 1.0 : -1.0;
+  }
+  return tb;
 }
 
 /// Shared Viterbi forward-pass scaffolding: initial metrics and the

@@ -48,8 +48,6 @@ SymbolEqualization equalize_symbol(std::span<const Cx> bins,
     data_rx[i] = bins[dbins[i]];
     data_h[i] = h[dbins[i]];
   }
-  out.data.resize(kNumDataSubcarriers);
-  out.gains.resize(kNumDataSubcarriers);
   dsp::equalize(data_rx.data(), data_h.data(), kNumDataSubcarriers,
                 derotate, out.data.data(), out.gains.data());
   return out;

@@ -11,7 +11,6 @@
 
 #include <array>
 #include <span>
-#include <vector>
 
 #include "dsp/complex_vec.hpp"
 #include "phy/ofdm.hpp"
@@ -19,8 +18,10 @@
 namespace carpool {
 
 struct SymbolEqualization {
-  CxVec data;                 ///< 48 equalized, phase-compensated points
-  std::vector<double> gains;  ///< |H_k|^2 per data subcarrier (soft weights)
+  /// Equalized, phase-compensated points.
+  std::array<Cx, kNumDataSubcarriers> data{};
+  /// |H_k|^2 per data subcarrier (soft weights).
+  std::array<double, kNumDataSubcarriers> gains{};
   double phase_offset = 0.0;  ///< measured common phase (radians)
   double pilot_quality = 0.0; ///< magnitude of the pilot correlation (0..1)
 };

@@ -88,21 +88,31 @@ void OfdmModulator::flush() {
   for (std::size_t s = 0; s < count; ++s) {
     const Queued& q = queue_[s];
     Cx* bins = bins_.data() + s * kFftSize;
+    // Each bin times the rotation as the plain double products
+    // std::complex's multiply evaluates: the points and the rotation are
+    // finite, so its NaN recovery never runs.
     const Cx rotation = cx_exp(q.phase_offset);
+    const double cr = rotation.real();
+    const double ci = rotation.imag();
     for (std::size_t i = 0; i < kNumDataSubcarriers; ++i) {
-      bins[kDataBins[i]] = q.data[i] * rotation;
+      const double pr = q.data[i].real();
+      const double pi = q.data[i].imag();
+      bins[kDataBins[i]] = Cx{pr * cr - pi * ci, pr * ci + pi * cr};
     }
     const double polarity = pilot_polarity(q.symbol_index);
     for (std::size_t i = 0; i < kNumPilots; ++i) {
-      bins[kPilotBins[i]] = Cx{kPilotBase[i] * polarity, 0.0} * rotation;
+      const double pr = kPilotBase[i] * polarity;
+      bins[kPilotBins[i]] = Cx{pr * cr - 0.0 * ci, pr * ci + 0.0 * cr};
     }
   }
-  // The inverse transform, then ifft's 1/N and the power scale, as two
-  // multiplies like ifft() and scale() run them.
   dsp::active_backend().fft_batch(bins_.data(), kFftSize, count, +1);
+  // ifft()'s 1/N and then the power scale: the two roundings per value
+  // that two scaling passes would give.
   const double inv_n = 1.0 / static_cast<double>(kFftSize);
-  for (Cx& x : bins_) x *= inv_n;
-  scale(bins_, kScale);
+  double* raw = reinterpret_cast<double*>(bins_.data());
+  for (std::size_t i = 0; i < 2 * bins_.size(); ++i) {
+    raw[i] = raw[i] * inv_n * kScale;
+  }
   for (std::size_t s = 0; s < count; ++s) {
     const auto time = bins_.begin() + static_cast<long>(s * kFftSize);
     wave_.insert(wave_.end(), time + (kFftSize - kCpLen), time + kFftSize);
@@ -133,15 +143,20 @@ CxVec extract_symbols(std::span<const Cx> samples, std::size_t count) {
   if (samples.size() < count * kSymbolLen) {
     throw std::invalid_argument("extract_symbols: not enough samples");
   }
-  OBS_TIMED_SPAN("phy.ofdm_demodulate");
   CxVec bins(count * kFftSize);
   for (std::size_t s = 0; s < count; ++s) {
     const Cx* src = samples.data() + s * kSymbolLen + kCpLen;
     std::copy(src, src + kFftSize, bins.begin() + s * kFftSize);
   }
-  dsp::active_backend().fft_batch(bins.data(), kFftSize, count, -1);
-  scale(bins, 1.0 / kScale);
+  demodulate_windows(bins);
   return bins;
+}
+
+void demodulate_windows(std::span<Cx> windows) {
+  OBS_TIMED_SPAN("phy.ofdm_demodulate");
+  dsp::active_backend().fft_batch(windows.data(), kFftSize,
+                                  windows.size() / kFftSize, -1);
+  scale(windows, 1.0 / kScale);
 }
 
 CxVec gather_data(std::span<const Cx> bins) {

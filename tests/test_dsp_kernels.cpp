@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <thread>
 #include <vector>
@@ -87,34 +89,10 @@ TEST(KernelParity, FftBatchMatchesPerSymbolScalar) {
   }
 }
 
-TEST(KernelParity, ViterbiForwardRandomSoft) {
-  std::mt19937_64 rng(0xbeefULL);
-  std::uniform_real_distribution<double> dist(-1.5, 1.5);
-  std::bernoulli_distribution erase(0.1);
-  for (const std::size_t steps : {1UL, 7UL, 64UL, 130UL}) {
-    std::vector<double> soft(2 * steps);
-    for (double& s : soft) s = erase(rng) ? 0.0 : dist(rng);
-    std::vector<std::uint64_t> ref_sel(steps);
-    std::vector<double> ref_metric(dsp::kViterbiStates);
-    dsp::scalar_backend().viterbi_forward(soft.data(), steps, ref_sel.data(),
-                                          ref_metric.data());
-    for (const dsp::KernelBackend* tier : simd_tiers()) {
-      std::vector<std::uint64_t> sel(steps);
-      std::vector<double> metric(dsp::kViterbiStates);
-      tier->viterbi_forward(soft.data(), steps, sel.data(), metric.data());
-      expect_bits_equal(ref_sel, sel, "viterbi select words", tier->name);
-      expect_bits_equal(ref_metric, metric, "viterbi path metrics",
-                        tier->name);
-    }
-  }
-}
-
-TEST(KernelParity, ViterbiTieBreakKeepsEvenPredecessor) {
-  // All-erasure input makes every branch metric 0, so every ACS step is
-  // a tie among reachable predecessors; all backends must agree on the
-  // "keep the even predecessor" rule bit for bit.
-  const std::size_t steps = 48;
-  std::vector<double> soft(2 * steps, 0.0);
+/// Runs every SIMD tier's forward pass over `soft` and memcmp-compares
+/// its select words and final path metrics with the scalar reference's.
+void expect_viterbi_parity(const std::vector<double>& soft, const char* what) {
+  const std::size_t steps = soft.size() / 2;
   std::vector<std::uint64_t> ref_sel(steps);
   std::vector<double> ref_metric(dsp::kViterbiStates);
   dsp::scalar_backend().viterbi_forward(soft.data(), steps, ref_sel.data(),
@@ -123,8 +101,75 @@ TEST(KernelParity, ViterbiTieBreakKeepsEvenPredecessor) {
     std::vector<std::uint64_t> sel(steps);
     std::vector<double> metric(dsp::kViterbiStates);
     tier->viterbi_forward(soft.data(), steps, sel.data(), metric.data());
-    expect_bits_equal(ref_sel, sel, "tie-break select words", tier->name);
+    SCOPED_TRACE(what);
+    expect_bits_equal(ref_sel, sel, "viterbi select words", tier->name);
+    expect_bits_equal(ref_metric, metric, "viterbi path metrics",
+                      tier->name);
   }
+}
+
+TEST(KernelParity, ViterbiForwardRandomSoft) {
+  std::mt19937_64 rng(0xbeefULL);
+  std::uniform_real_distribution<double> dist(-1.5, 1.5);
+  std::bernoulli_distribution erase(0.1);
+  for (const std::size_t steps : {1UL, 7UL, 64UL, 130UL}) {
+    std::vector<double> soft(2 * steps);
+    for (double& s : soft) s = erase(rng) ? 0.0 : dist(rng);
+    expect_viterbi_parity(soft, "random soft bits");
+  }
+}
+
+TEST(KernelParity, ViterbiEdgeSoftValues) {
+  // Branch sums of exactly zero (r0 == r1 and r0 == -r1), signed zeros,
+  // overflow to infinity, infinities whose sums are NaN, and NaN LLRs of
+  // either sign (a NaN capture reaches the decoder through demap_soft):
+  // the tiers must reproduce the scalar reference's every bit, NaN signs
+  // included. No pair holds NaNs of both signs: IEEE 754 leaves open
+  // which of two NaNs a sum returns, and compilers commute the addition
+  // (an ASan+UBSan build of the scalar reference adds in the other order).
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> values{0.0,   -0.0,    0.75,   -0.75,  1e300,
+                                   -1e300, inf,    -inf,   nan,    -nan};
+  const auto opposite_nans = [](double a, double b) {
+    return std::isnan(a) && std::isnan(b) &&
+           std::signbit(a) != std::signbit(b);
+  };
+  std::mt19937_64 rng(0xed6eULL);
+  std::uniform_int_distribution<std::size_t> pick(0, values.size() - 1);
+  std::uniform_int_distribution<int> shape(0, 2);
+  for (const std::size_t steps : {1UL, 9UL, 64UL, 200UL}) {
+    std::vector<double> soft(2 * steps);
+    for (std::size_t t = 0; t < steps; ++t) {
+      const double r0 = values[pick(rng)];
+      const int s = shape(rng);
+      double r1 = s == 0 ? r0 : s == 1 ? -r0 : values[pick(rng)];
+      if (opposite_nans(r0, r1)) r1 = r0;
+      soft[2 * t] = r0;
+      soft[2 * t + 1] = r1;
+    }
+    expect_viterbi_parity(soft, "mixed edge values");
+  }
+  // Each value alone for a whole run, once as r0 == r1, once as r0 ==
+  // -r1, and once against a finite partner.
+  for (const double v : values) {
+    for (const double partner : {v, -v, 0.5}) {
+      if (opposite_nans(v, partner)) continue;
+      std::vector<double> soft;
+      for (std::size_t t = 0; t < 40; ++t) {
+        soft.push_back(v);
+        soft.push_back(partner);
+      }
+      expect_viterbi_parity(soft, "one value throughout");
+    }
+  }
+}
+
+TEST(KernelParity, ViterbiTieBreakKeepsEvenPredecessor) {
+  // All-erasure input makes every branch metric 0, so every ACS step is
+  // a tie among reachable predecessors; all backends must agree on the
+  // "keep the even predecessor" rule bit for bit.
+  expect_viterbi_parity(std::vector<double>(2 * 48, 0.0), "all erasures");
 }
 
 TEST(KernelParity, ConcurrentBackendsStayBitIdentical) {

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -379,19 +380,26 @@ CxVec corrected_whole_capture(std::span<const Cx> wave) {
   return out;
 }
 
-/// Samples of `got` whose bits differ from want[start, start + size).
-std::size_t bit_mismatches(std::span<const Cx> got, std::span<const Cx> want,
-                           std::size_t start) {
+/// Entries of `got` whose bits differ from `want`'s (every entry when the
+/// sizes differ).
+std::size_t bit_mismatches(std::span<const Cx> got, std::span<const Cx> want) {
+  if (got.size() != want.size()) return std::max(got.size(), want.size());
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   std::size_t bad = 0;
   for (std::size_t i = 0; i < got.size(); ++i) {
-    const Cx& w = want[start + i];
-    if (bits(got[i].real()) != bits(w.real()) ||
-        bits(got[i].imag()) != bits(w.imag())) {
+    if (bits(got[i].real()) != bits(want[i].real()) ||
+        bits(got[i].imag()) != bits(want[i].imag())) {
       ++bad;
     }
   }
   return bad;
+}
+
+/// extract_symbols over the whole-capture-corrected waveform: what
+/// Frontend::symbols(start, count) must return bit for bit.
+CxVec want_symbols(std::span<const Cx> corrected, std::size_t start,
+                   std::size_t count) {
+  return extract_symbols(corrected.subspan(start), count);
 }
 
 TEST(FrontendWindow, ReceiverWalkMatchesWholeCapturePasses) {
@@ -403,25 +411,25 @@ TEST(FrontendWindow, ReceiverWalkMatchesWholeCapturePasses) {
   // The Carpool receiver's reads for kSelf: both A-HDR symbols, then per
   // subframe its SIG and either all its data symbols (subframe 1) or only
   // the last one (skipped).
-  std::vector<std::pair<std::size_t, std::size_t>> reads{
-      {kPreambleLen, kSymbolLen}, {kPreambleLen + kSymbolLen, kSymbolLen}};
+  std::vector<std::pair<std::size_t, std::size_t>> reads{{kPreambleLen, 2}};
   std::size_t pos = kPreambleLen + 2 * kSymbolLen;
   for (std::size_t k = 0; k < subframes.size(); ++k) {
     const std::size_t n_sym = num_data_symbols(
         mcs(subframes[k].mcs_index), subframes[k].psdu.size());
-    reads.emplace_back(pos, kSymbolLen);
+    reads.emplace_back(pos, 1);
     if (k == 1) {
-      reads.emplace_back(pos + kSymbolLen, n_sym * kSymbolLen);
+      reads.emplace_back(pos + kSymbolLen, n_sym);
     } else {
-      reads.emplace_back(pos + n_sym * kSymbolLen, kSymbolLen);
+      reads.emplace_back(pos + n_sym * kSymbolLen, 1);
     }
     pos += (1 + n_sym) * kSymbolLen;
   }
   ASSERT_EQ(pos, wave.size());
   for (const auto& [start, count] : reads) {
-    const std::span<const Cx> got = fe.window(start, count);
-    ASSERT_EQ(got.size(), count);
-    EXPECT_EQ(bit_mismatches(got, want, start), 0u) << "start " << start;
+    const CxVec got = fe.symbols(start, count);
+    ASSERT_EQ(got.size(), count * kFftSize);
+    EXPECT_EQ(bit_mismatches(got, want_symbols(want, start, count)), 0u)
+        << "start " << start;
   }
   const CarpoolRxResult rx = CarpoolReceiver(self_rx_config()).receive(wave);
   ASSERT_EQ(rx.subframes.size(), 1u);
@@ -429,27 +437,47 @@ TEST(FrontendWindow, ReceiverWalkMatchesWholeCapturePasses) {
 }
 
 TEST(FrontendWindow, ShuffledWindowsLastSampleAndPastEnd) {
-  const CxVec wave = cfo_capture(mixed_subframes());
+  CxVec wave = cfo_capture(mixed_subframes());
+  // Non-finite samples in two symbols. (inf, inf) leaves one part of the
+  // coarse product NaN, so the fine product is NaN in both parts, which
+  // std::complex's multiply recovers as infinities; a NaN stays NaN.
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::size_t inf_symbol = kPreambleLen + 3 * kSymbolLen;
+  const std::size_t nan_symbol = kPreambleLen + 6 * kSymbolLen;
+  wave[inf_symbol + kCpLen + 5] = Cx{inf, inf};
+  wave[nan_symbol + kCpLen + 40] =
+      Cx{std::numeric_limits<double>::quiet_NaN(), 1.0};
   const CxVec want = corrected_whole_capture(wave);
   Frontend fe = receive_frontend(wave);
   ASSERT_TRUE(fe.ok());
-  // Random starts, most behind the previous window's end, so the phases
+  for (const std::size_t start : {inf_symbol, nan_symbol}) {
+    EXPECT_EQ(bit_mismatches(fe.symbols(start, 1),
+                             want_symbols(want, start, 1)),
+              0u)
+        << "non-finite sample in the symbol at " << start;
+  }
+  // Random starts, most behind the previous read's end, so the phases
   // replay from sample 0; the preamble is among them.
   Rng rng(75);
   for (int i = 0; i < 200; ++i) {
-    const std::size_t start = rng.uniform_int(wave.size());
+    const std::size_t start = rng.uniform_int(wave.size() - kSymbolLen + 1);
     const std::size_t count =
-        1 + rng.uniform_int(std::min<std::size_t>(400, wave.size() - start));
-    EXPECT_EQ(bit_mismatches(fe.window(start, count), want, start), 0u)
+        1 + rng.uniform_int(std::min<std::size_t>(
+                6, (wave.size() - start) / kSymbolLen));
+    EXPECT_EQ(bit_mismatches(fe.symbols(start, count),
+                             want_symbols(want, start, count)),
+              0u)
         << "start " << start << " count " << count;
   }
-  EXPECT_EQ(bit_mismatches(fe.window(0, kPreambleLen), want, 0), 0u);
-  const std::size_t last = wave.size() - 1;
-  EXPECT_EQ(bit_mismatches(fe.window(last, 1), want, last), 0u);
-  EXPECT_TRUE(fe.window(wave.size(), 0).empty());
-  EXPECT_THROW((void)fe.window(last, 2), std::out_of_range);
-  EXPECT_THROW((void)fe.window(wave.size(), 1), std::out_of_range);
-  EXPECT_THROW((void)fe.window(wave.size() + 1, 0), std::out_of_range);
+  EXPECT_EQ(bit_mismatches(fe.symbols(0, 4), want_symbols(want, 0, 4)),
+            0u);
+  const std::size_t last = wave.size() - kSymbolLen;
+  EXPECT_EQ(bit_mismatches(fe.symbols(last, 1), want_symbols(want, last, 1)),
+            0u);
+  EXPECT_TRUE(fe.symbols(wave.size(), 0).empty());
+  EXPECT_THROW((void)fe.symbols(last + 1, 1), std::out_of_range);
+  EXPECT_THROW((void)fe.symbols(last, 2), std::out_of_range);
+  EXPECT_THROW((void)fe.symbols(wave.size() + 1, 0), std::out_of_range);
 }
 
 TEST(DecodeHardening, LegacyReceiverStatusCodes) {
