@@ -323,30 +323,28 @@ std::vector<std::vector<ProbeHarness::Probe>> plan_probes(
 // ----------------------------------------------------- repeat execution
 //
 // One full timeline pass, extracted so every repeat of the campaign
-// stream (docs/PARALLELISM.md), live or detached, runs the *same* code.
+// stream (docs/PARALLELISM.md), live or provisional, runs the *same* code.
 // A `live` pass runs with the real campaign coordinates — frame budget
 // and fault injection armed, violations stamped with campaign-wide frame
-// counts. A detached pass (live == false) runs the identical simulation
+// counts. A provisional pass (live == false) runs the identical simulation
 // from frame base 0 with those stop checks disarmed; the frame base feeds
 // only stop checks and recorded coordinates (see StepInvariants), so a
-// detached pass is bit-identical to a live one right up to the first stop
-// event. A detached pass also ends at its next observer step once the
+// provisional pass is bit-identical to a live one right up to the first stop
+// event. A provisional pass also ends at its next observer step once the
 // campaign is cancelled; its output is then never consumed.
 
-/// Everything a repeat job reads, jointly owned by the campaign and its
-/// jobs: a watchdog-abandoned attempt thread (detached in
-/// par::detail::run_attempt_with_watchdog) that outlives SoakRunner::run —
-/// or the SoakRunner — still runs against live scenario, domain, episode,
-/// and option state instead of dangling references. Episode phase
+/// Everything a repeat job reads. SoakRunner::run owns it and declares
+/// it before the RepeatStream that references it, so the stream drains
+/// every repeat still in flight before the context goes. Episode phase
 /// pointers alias `s.traffic`, which is why the scenario and its episodes
-/// must share one lifetime; the SNR hooks of a repeat's simulators point
-/// into `domains`.
+/// share one lifetime; the SNR hooks of a repeat's simulators point into
+/// `domains`.
 struct CampaignCtx {
   Scenario s;
   SoakOptions opts;
   Domains domains;
   std::vector<Episode> episodes;
-  /// Set once the campaign stops: detached repeats still running end
+  /// Set once the campaign stops: provisional repeats still running end
   /// early, and nothing past the stop is consumed.
   std::atomic<bool> cancel{false};
 };
@@ -374,7 +372,7 @@ RepeatOutcome run_one_repeat(const CampaignCtx& ctx, std::size_t repeat,
 
   // Correlated shadowing (channel/shadowing.hpp): one process per repeat
   // spanning the whole timeline, seeded from (scenario seed, repeat) so
-  // serial and detached passes see identical offsets. Station positions
+  // serial and provisional passes see identical offsets. Station positions
   // come from the first waypoint of the STA's mobility path when it has
   // one, else the testbed layout's receiver grid.
   std::optional<channel::CorrelatedShadowing> shadowing;
@@ -570,7 +568,7 @@ RepeatOutcome run_one_repeat(const CampaignCtx& ctx, std::size_t repeat,
 
       // Episode-end invariants run only on domains that completed without
       // a stop event: a stopping repeat is re-run live anyway, so
-      // skipping its partial slice keeps detached and live passes
+      // skipping its partial slice keeps provisional and live passes
       // bit-identical.
       if (!stop_episode) {
         if (opts.check_fairness) {
@@ -627,7 +625,7 @@ void consume_repeat(SoakReport& report, RepeatOutcome&& o) {
 }
 
 /// Would the serial campaign have stopped inside this repeat? True when
-/// the detached pass hit a violation, or when the real campaign frame
+/// the provisional pass hit a violation, or when the real campaign frame
 /// base pushes some observed step across the frame budget or the
 /// scripted injection frame. Exactness: within an episode
 /// view.frames_judged is monotone and ends at the summary's count, so a
@@ -658,11 +656,11 @@ bool repeat_is_stopping(const RepeatOutcome& o, const Scenario& s,
 /// at the next one to consume, N workers of one pool run them, and the
 /// calling thread takes them back strictly in repeat order. A repeat
 /// dispatched when every earlier repeat has been consumed runs live at the
-/// campaign's real frame base; any other runs detached. Every repeat runs
-/// through par::run_shard, so retries, the watchdog and planned faults
-/// (addressed by campaign repeat number) apply to each. At N = 1 the
-/// look-ahead is one repeat, always live, run inline on the calling
-/// thread: no thread is spawned and no repeat runs twice.
+/// campaign's real frame base; any other runs provisionally. Every repeat
+/// runs through par::run_shard, so retries and planned faults (addressed
+/// by campaign repeat number) apply to each. At N = 1 the look-ahead is
+/// one repeat, always live, run inline on the calling thread: no thread
+/// is spawned and no repeat runs twice.
 class RepeatStream {
  public:
   struct Repeat {
@@ -673,9 +671,9 @@ class RepeatStream {
 
   /// Stream repeats [first, end) on `threads` workers (capped at the
   /// repeat count).
-  RepeatStream(std::shared_ptr<CampaignCtx> ctx, std::size_t first,
-               std::size_t end, std::size_t threads)
-      : ctx_(std::move(ctx)),
+  RepeatStream(CampaignCtx& ctx, std::size_t first, std::size_t end,
+               std::size_t threads)
+      : ctx_(ctx),
         next_dispatch_(first),
         end_(end),
         workers_(std::max<std::size_t>(1, std::min(threads, end - first))),
@@ -684,12 +682,12 @@ class RepeatStream {
   RepeatStream(const RepeatStream&) = delete;
   RepeatStream& operator=(const RepeatStream&) = delete;
 
-  /// Cancel the detached repeats still in flight; the pool, declared
+  /// Cancel the provisional repeats still in flight; the pool, declared
   /// last, then drains before the slots its workers write are destroyed.
   ~RepeatStream() { cancel(); }
 
   /// Everything still in flight is past the stop: end it early.
-  void cancel() noexcept { ctx_->cancel.store(true); }
+  void cancel() noexcept { ctx_.cancel.store(true); }
 
   /// Fill the look-ahead — `frames_judged` is the live frame base of a
   /// repeat dispatched now — then block until the next repeat to consume
@@ -719,20 +717,17 @@ class RepeatStream {
     const bool live = slots_.empty();  // every earlier repeat consumed
     Slot& slot = slots_.emplace_back();  // deque: other slots stay put
     slot.repeat.live = live;
-    // Captures by value only: run_shard hands the callable to attempt
-    // threads a watchdog may abandon past this campaign.
-    auto job = [ctx = ctx_, repeat, live,
-                base = live ? frames_judged : 0](const par::ShardInfo&) {
-      return run_one_repeat(*ctx, repeat, base, live);
-    };
-    auto fn = std::make_shared<decltype(job)>(std::move(job));
-    auto work = [this, &slot, fn = std::move(fn), repeat] {
-      const SoakOptions& opts = ctx_->opts;
-      par::run_shard(slot.repeat.run, slot.repeat.outcome,
-                     par::ShardInfo{repeat, end_}, fn, opts.retry,
-                     opts.fault_plan.has_value() ? &*opts.fault_plan
-                                                 : nullptr,
-                     collect_spans_);
+    auto work = [this, &slot, repeat, live,
+                 base = live ? frames_judged : 0] {
+      const SoakOptions& opts = ctx_.opts;
+      par::run_shard(
+          slot.repeat.run, slot.repeat.outcome, par::ShardInfo{repeat, end_},
+          [&](const par::ShardInfo&) {
+            return run_one_repeat(ctx_, repeat, base, live);
+          },
+          opts.retry,
+          opts.fault_plan.has_value() ? &*opts.fault_plan : nullptr,
+          collect_spans_);
       {
         const std::scoped_lock lock(mutex_);
         slot.done = true;
@@ -747,7 +742,7 @@ class RepeatStream {
     pool_->submit(std::move(work));
   }
 
-  std::shared_ptr<CampaignCtx> ctx_;
+  CampaignCtx& ctx_;
   std::size_t next_dispatch_;
   const std::size_t end_;
   const std::size_t workers_;
@@ -761,10 +756,10 @@ class RepeatStream {
 }  // namespace
 
 SoakReport SoakRunner::run(const Scenario& scenario) const {
-  auto ctx = std::make_shared<CampaignCtx>();
-  ctx->s = scenario;
-  ctx->opts = opts_;
-  Scenario& s = ctx->s;
+  CampaignCtx ctx;
+  ctx.s = scenario;
+  ctx.opts = opts_;
+  Scenario& s = ctx.s;
   if (s.traffic.empty()) {
     // An empty mix would soak an idle channel; default to the steady CBR
     // load every built-in scenario uses.
@@ -844,8 +839,8 @@ SoakReport SoakRunner::run(const Scenario& scenario) const {
   // path and, with a topology, the campus, whose handover instants cut
   // the timeline so every episode slice has constant associations
   // (docs/MULTI_AP.md).
-  ctx->domains = Domains(s);
-  const Domains& domains = ctx->domains;
+  ctx.domains = Domains(s);
+  const Domains& domains = ctx.domains;
   if (domains.campus.has_value() && !report.resumed) {
     const sim::Topology& topo = domains.campus->topo;
     obs::Registry& reg = obs::Registry::current();
@@ -856,7 +851,7 @@ SoakReport SoakRunner::run(const Scenario& scenario) const {
                   static_cast<double>(topo.cochannel_pairs()));
   }
 
-  ctx->episodes = segment_timeline(s, domains.handover_times());
+  ctx.episodes = segment_timeline(s, domains.handover_times());
   // A single-pass run (max_frames == 0) has exactly one repeat.
   const std::size_t max_repeats =
       opts_.max_frames == 0 ? 1
@@ -886,16 +881,16 @@ SoakReport SoakRunner::run(const Scenario& scenario) const {
   };
 
   // Repeats stream through RepeatStream and are consumed here strictly
-  // in repeat order (docs/PARALLELISM.md). A live repeat and a detached
+  // in repeat order (docs/PARALLELISM.md). A live repeat and a provisional
   // repeat with no stop event are exactly what a live run produces, so
   // their shard metrics merge into the ambient registry and their
-  // outcomes join the report. The first detached repeat the campaign
+  // outcomes join the report. The first provisional repeat the campaign
   // would have stopped in is re-run live on this thread — that re-run
   // supplies the authoritative violations, coordinates, and metrics — and
-  // everything after it is cancelled unconsumed. Quarantines, retries,
-  // and stalls count only for consumed repeats. Without retries or faults
-  // a failed repeat is not quarantined: the first consumed repeat that
-  // threw rethrows its own exception once the stream has drained.
+  // everything after it is cancelled unconsumed. Quarantines and retries
+  // count only for consumed repeats. Without retries or faults a failed
+  // repeat is not quarantined: the first consumed repeat that threw
+  // rethrows its own exception once the stream has drained.
   const bool resilient =
       opts_.retry.enabled() || opts_.fault_plan.has_value();
   const auto budget_spent = [&] {
@@ -919,11 +914,11 @@ SoakReport SoakRunner::run(const Scenario& scenario) const {
     if (!taken.live &&
         repeat_is_stopping(o, s, opts_, report.frames_judged)) {
       stream.cancel();
-      o = run_one_repeat(*ctx, repeat, report.frames_judged, /*live=*/true);
+      o = run_one_repeat(ctx, repeat, report.frames_judged, /*live=*/true);
     } else {
       obs::Registry::current().merge_from(*taken.run.metrics);
       // Span buffers follow the same consume-or-discard rule as shard
-      // metrics: a re-run repeat's detached buffer is dropped because
+      // metrics: a re-run repeat's provisional buffer is dropped because
       // the live re-run wrote the authoritative spans into the
       // ambient collector.
       if (obs::SpanCollector* sc = obs::SpanCollector::current();

@@ -70,9 +70,9 @@ struct SoakOptions {
   /// most 2N - 1 in flight counting the next one to consume; the calling
   /// thread consumes them strictly in repeat order. A repeat dispatched
   /// once every earlier one has been consumed runs live at its real frame
-  /// base, the rest detached; the first stopping detached repeat is re-run
-  /// live on the calling thread and everything after it is cancelled
-  /// unconsumed. The SoakReport — violations, coordinates, frame counts,
+  /// base, the rest provisionally; the first stopping provisional repeat
+  /// is re-run live on the calling thread and everything after it is
+  /// cancelled unconsumed. The SoakReport — violations, coordinates, frame counts,
   /// degraded repeats, obs metrics — is bit-for-bit identical at any
   /// worker count. At 1 every repeat runs live, inline on the calling
   /// thread, and a single-pass run (max_frames == 0) is one such repeat
@@ -82,14 +82,13 @@ struct SoakOptions {
 
   // ----- fault tolerance (docs/FAULT_TOLERANCE.md) -----
 
-  /// Retry/watchdog policy for repeat shards, single-pass runs
-  /// included. Default-disabled (max_attempts 1, no watchdog): with no
-  /// fault plan either, a throwing repeat kills the campaign with its
-  /// own exception. With retries enabled (or a fault plan set), repeats
-  /// that throw or stall are retried with attempt-local state (a
-  /// successful retry is bit-identical to a first-try success) and
-  /// exhausted repeats land in SoakReport::degraded instead of
-  /// aborting.
+  /// Retry policy for repeat shards, single-pass runs included.
+  /// Default-disabled (max_attempts 1): with no fault plan either, a
+  /// throwing repeat kills the campaign with its own exception. With
+  /// retries enabled (or a fault plan set), repeats that throw are
+  /// retried with attempt-local state (a successful retry is
+  /// bit-identical to a first-try success) and exhausted repeats land in
+  /// SoakReport::degraded instead of aborting.
   par::RetryPolicy retry{};
 
   /// Deterministic fault injection for the retry machinery (tests and
@@ -131,7 +130,7 @@ struct SoakReport {
 
   // ----- fault tolerance (docs/FAULT_TOLERANCE.md) -----
 
-  /// Quarantined repeats + retry/stall totals. degraded.degraded() means
+  /// Quarantined repeats + retry totals. degraded.degraded() means
   /// some repeats were lost after exhausting retries — the campaign
   /// completed on the surviving repeats and this report says which died.
   par::DegradedReport degraded;

@@ -125,16 +125,12 @@ constexpr std::array kCatalog{
 
     // --- ops: fault-tolerance bookkeeping (docs/FAULT_TOLERANCE.md).
     // The whole "ops" layer is excluded from Registry::fingerprint():
-    // these count wall-clock accidents (retries, stalls, resumes) that
-    // must not perturb determinism comparisons. ---
+    // these count wall-clock accidents (retries, resumes) that must not
+    // perturb determinism comparisons. ---
     CatalogEntry{"par.shard_retry",
                  {"count", "ops",
                   "Shard attempts beyond the first (retries after a "
-                  "throw, stall, or torn result)"}},
-    CatalogEntry{"par.shard_stall",
-                 {"count", "ops",
-                  "Shard attempts abandoned by the per-attempt "
-                  "watchdog"}},
+                  "throw or a torn result)"}},
     CatalogEntry{"par.shard_quarantine",
                  {"count", "ops",
                   "Shards quarantined after exhausting the retry "

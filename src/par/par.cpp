@@ -1,5 +1,6 @@
 #include "par/par.hpp"
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -60,28 +61,16 @@ FaultKind FaultPlan::at(std::size_t shard,
   return FaultKind::kNone;
 }
 
-FaultPlan FaultPlan::seeded(std::uint64_t seed, std::size_t shards,
-                            double rate, FaultKind kind) {
-  FaultPlan plan;
-  for (std::size_t i = 0; i < shards; ++i) {
-    const std::uint64_t draw = splitmix_step(seed ^ splitmix_step(i + 1));
-    // Map the top 53 bits to [0, 1).
-    const double u = static_cast<double>(draw >> 11) * 0x1.0p-53;
-    if (u < rate) plan.entries.push_back({i, 0, kind});
-  }
-  return plan;
-}
-
 double RetryPolicy::backoff_ms(std::size_t shard,
-                               std::size_t attempt) const noexcept {
+                               std::size_t attempt) noexcept {
   if (attempt == 0) return 0.0;
-  const double exp = backoff_base_ms * std::ldexp(1.0, static_cast<int>(
+  const double exp = kBackoffBaseMs * std::ldexp(1.0, static_cast<int>(
                          std::min<std::size_t>(attempt - 1, 30)));
   const std::uint64_t draw =
-      splitmix_step(backoff_seed ^ splitmix_step(shard + 1) ^
+      splitmix_step(kBackoffSeed ^ splitmix_step(shard + 1) ^
                     splitmix_step(attempt * 0x9e37ULL));
   const double jitter = 0.5 + static_cast<double>(draw >> 11) * 0x1.0p-53;
-  return std::min(exp * jitter, backoff_max_ms);
+  return std::min(exp * jitter, kBackoffMaxMs);
 }
 
 void ShardRun::rethrow(std::size_t index) const {
@@ -94,20 +83,17 @@ void ShardRun::rethrow(std::size_t index) const {
 void DegradedReport::record(std::size_t index, const ShardRun& shard) {
   const std::size_t extra = shard.attempts > 1 ? shard.attempts - 1 : 0;
   retries += extra;
-  stalls += shard.stalls;
   if (!shard.ok) quarantined.push_back({index, shard.attempts, shard.error});
 
   obs::Registry& ambient = obs::Registry::current();
   if (extra > 0) ambient.counter("par.shard_retry").add(extra);
-  if (shard.stalls > 0) ambient.counter("par.shard_stall").add(shard.stalls);
   if (!shard.ok) ambient.counter("par.shard_quarantine").add();
 }
 
 std::string DegradedReport::to_string() const {
   std::string out = "degraded: " + std::to_string(quarantined.size()) +
                     " shard(s) quarantined, " + std::to_string(retries) +
-                    " retr" + (retries == 1 ? "y" : "ies") + ", " +
-                    std::to_string(stalls) + " stall(s)";
+                    " retr" + (retries == 1 ? "y" : "ies");
   for (const QuarantinedShard& q : quarantined) {
     out += "\n  shard " + std::to_string(q.index) + " after " +
            std::to_string(q.attempts) + " attempt(s): " + q.error;
@@ -120,42 +106,6 @@ namespace detail {
 void backoff_sleep(double ms) {
   if (ms <= 0.0) return;
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
-}
-
-bool run_attempt_with_watchdog(std::function<void()> body,
-                               double timeout_seconds) {
-  if (timeout_seconds <= 0.0) {
-    body();
-    return true;
-  }
-  // The attempt runs on its own thread; the shared block outlives both
-  // sides so an overrunning (detached) attempt signals completion into
-  // live memory even after the watchdog gave up on it.
-  struct Shared {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool done = false;
-  };
-  auto shared = std::make_shared<Shared>();
-  std::thread attempt([shared, body = std::move(body)] {
-    body();
-    {
-      const std::scoped_lock lock(shared->mutex);
-      shared->done = true;
-    }
-    shared->cv.notify_all();
-  });
-  std::unique_lock lock(shared->mutex);
-  const bool finished = shared->cv.wait_for(
-      lock, std::chrono::duration<double>(timeout_seconds),
-      [&shared] { return shared->done; });
-  lock.unlock();
-  if (finished) {
-    attempt.join();
-    return true;
-  }
-  attempt.detach();  // abandoned: its outputs are never read
-  return false;
 }
 
 }  // namespace detail

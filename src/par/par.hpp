@@ -8,11 +8,12 @@
 // jobs across a fixed-size thread pool and merges their outputs in
 // *stable job-index order*, so the aggregate — result vectors, obs
 // counters/gauges, float reductions — is bit-for-bit identical at any
-// thread count. One attempt loop, run_shard, runs every shard with its
-// retries, watchdog and planned faults. run_sharded_resilient fans a
-// fixed job count through it, and run_sharded is its ordered-merge
-// wrapper; the soak runner streams campaign repeats through it on its
-// own ThreadPool, consuming them in repeat order (chaos/runner.cpp).
+// thread count. One attempt loop, run_shard, runs every shard inline on
+// its worker, with its retries and planned faults. There are two entry
+// points: run_sharded fans a fixed job count through it, one attempt per
+// job, and merges in job order; the soak runner streams campaign repeats
+// through run_shard on its own ThreadPool, consuming them in repeat order
+// (chaos/runner.cpp).
 //
 // The determinism contract rests on three rules:
 //   1. Jobs are pure functions of their index (same seeds, same inputs,
@@ -31,7 +32,6 @@
 // serial and parallel runs.
 
 #include <algorithm>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -124,20 +124,6 @@ struct ShardInfo {
   std::size_t total = 0;  ///< job count (a soak stream: its repeat cap)
 };
 
-/// A sharded run's raw output: per-job results plus each shard's private
-/// metric registry, both indexed by job. A quarantined shard's registry
-/// slot is null.
-template <class R>
-struct Sharded {
-  std::vector<R> results;
-  std::vector<std::unique_ptr<obs::Registry>> metrics;
-  /// Per-shard span buffers, indexed by job like `metrics`. Populated
-  /// only when a SpanCollector was installed at fan-out time (tracing
-  /// compiled in AND the driver opted in); empty otherwise, so the
-  /// default build never allocates span state.
-  std::vector<std::unique_ptr<obs::SpanCollector>> spans;
-};
-
 // ---------------------------------------------------------------------------
 // Fault tolerance (docs/FAULT_TOLERANCE.md)
 // ---------------------------------------------------------------------------
@@ -146,7 +132,6 @@ struct Sharded {
 enum class FaultKind {
   kNone = 0,
   kThrow,  ///< the job throws std::runtime_error after running
-  kStall,  ///< the job sleeps past the watchdog before returning
   kTorn,   ///< the job returns a default-constructed ("torn") result
 };
 
@@ -163,56 +148,41 @@ struct FaultPlan {
   };
 
   std::vector<Entry> entries;
-  /// How long a kStall fault sleeps. Tests pair a short stall with an
-  /// even shorter RetryPolicy::watchdog_seconds.
-  double stall_seconds = 0.25;
 
   /// Fault scheduled for this (shard, attempt), or kNone.
   [[nodiscard]] FaultKind at(std::size_t shard,
                              std::size_t attempt) const noexcept;
-
-  /// Seeded plan: each of `shards` shards independently gets a
-  /// first-attempt fault of `kind` with probability ~`rate` drawn from a
-  /// splitmix64 stream over (seed, shard). Deterministic in its inputs.
-  [[nodiscard]] static FaultPlan seeded(std::uint64_t seed,
-                                        std::size_t shards, double rate,
-                                        FaultKind kind = FaultKind::kThrow);
 };
 
-/// Retry + watchdog policy for run_shard. Disabled by default
-/// (max_attempts == 1, no watchdog): every shard then gets one attempt,
-/// which is what run_sharded uses.
+/// Retry policy for run_shard. Disabled by default (max_attempts == 1):
+/// every shard then gets one attempt, which is what run_sharded uses.
 struct RetryPolicy {
-  std::size_t max_attempts = 1;  ///< total tries per shard (>= 1)
-  double backoff_base_ms = 1.0;  ///< first retry delay before jitter
-  double backoff_max_ms = 100.0;
+  /// First retry delay before jitter, and the cap on any delay.
+  static constexpr double kBackoffBaseMs = 1.0;
+  static constexpr double kBackoffMaxMs = 100.0;
   /// Seed for the deterministic backoff jitter stream. Backoff only
   /// shifts wall clock, never results, so this does not participate in
   /// the determinism contract — it exists so retry storms de-correlate
   /// reproducibly.
-  std::uint64_t backoff_seed = 0x6261636bULL;
-  /// Per-attempt wall-clock budget in seconds; <= 0 disables the
-  /// watchdog. An attempt that overruns is abandoned (its worker thread
-  /// is detached and its outputs discarded) and counts as a failure.
-  double watchdog_seconds = 0.0;
+  static constexpr std::uint64_t kBackoffSeed = 0x6261636bULL;
 
-  [[nodiscard]] bool enabled() const noexcept {
-    return max_attempts > 1 || watchdog_seconds > 0.0;
-  }
+  std::size_t max_attempts = 1;  ///< total tries per shard (>= 1)
+
+  [[nodiscard]] bool enabled() const noexcept { return max_attempts > 1; }
 
   /// Deterministic backoff before `attempt` (1-based retry number) of
-  /// `shard`: base * 2^(attempt-1), jittered to [0.5, 1.5) by a
-  /// splitmix64 draw over (backoff_seed, shard, attempt), clamped to
-  /// backoff_max_ms.
-  [[nodiscard]] double backoff_ms(std::size_t shard,
-                                  std::size_t attempt) const noexcept;
+  /// `shard`: kBackoffBaseMs * 2^(attempt-1), jittered to [0.5, 1.5) by a
+  /// splitmix64 draw over (kBackoffSeed, shard, attempt), clamped to
+  /// kBackoffMaxMs.
+  [[nodiscard]] static double backoff_ms(std::size_t shard,
+                                         std::size_t attempt) noexcept;
 };
 
 /// One shard that exhausted its retry budget.
 struct QuarantinedShard {
   std::size_t index = 0;
   std::size_t attempts = 0;
-  std::string error;  ///< what() of the final failure (or "stall")
+  std::string error;  ///< what() of the final failure (or "torn")
 };
 
 /// How one shard's attempt loop (run_shard) ended, with the successful
@@ -220,37 +190,35 @@ struct QuarantinedShard {
 /// null; so does `spans` when not collecting.
 struct ShardRun {
   std::size_t attempts = 0;
-  std::size_t stalls = 0;  ///< attempts abandoned by the watchdog
   bool ok = false;
-  std::string error;  ///< what() of the final failure (or "stall", "torn")
-  /// The final failure's own exception; null after a stall or a torn
-  /// result, which have none.
+  std::string error;  ///< what() of the final failure (or "torn")
+  /// The final failure's own exception; null after a torn result, which
+  /// has none.
   std::exception_ptr exception;
   std::unique_ptr<obs::Registry> metrics;
   std::unique_ptr<obs::SpanCollector> spans;
 
-  /// Rethrow this shard's failure: its own exception, or for a stall or
-  /// torn result a std::runtime_error naming shard `index`.
+  /// Rethrow this shard's failure: its own exception, or for a torn
+  /// result a std::runtime_error naming shard `index`.
   [[noreturn]] void rethrow(std::size_t index) const;
 };
 
-/// Outcome summary of a resilient sharded run: which shards were
-/// quarantined (their result slots hold default-constructed values and
-/// their metric registries are dropped) and how much retrying happened.
+/// Outcome summary of a retried run: which shards were quarantined
+/// (their results and metric registries are dropped) and how much
+/// retrying happened.
 struct DegradedReport {
   std::vector<QuarantinedShard> quarantined;
   std::size_t retries = 0;  ///< extra attempts beyond the first, total
-  std::size_t stalls = 0;   ///< attempts abandoned by the watchdog
 
   [[nodiscard]] bool degraded() const noexcept { return !quarantined.empty(); }
   [[nodiscard]] std::string to_string() const;
 
-  /// Account finished shard `index`: add its retries and stalls, and
-  /// quarantine it if it failed. The same counts go to the ops counters
-  /// par.shard_retry / par.shard_stall / par.shard_quarantine of the
-  /// calling thread's ambient registry; the "ops" catalog layer is
-  /// excluded from Registry::fingerprint(), so retries never perturb the
-  /// determinism canary.
+  /// Account finished shard `index`: add its retries, and quarantine it
+  /// if it failed. The same counts go to the ops counters
+  /// par.shard_retry / par.shard_quarantine of the calling thread's
+  /// ambient registry; the "ops" catalog layer is excluded from
+  /// Registry::fingerprint(), so retries never perturb the determinism
+  /// canary.
   void record(std::size_t index, const ShardRun& shard);
 };
 
@@ -258,14 +226,6 @@ namespace detail {
 
 /// Sleep for a deterministic-in-inputs backoff (wall clock only).
 void backoff_sleep(double ms);
-
-/// Run `body` with a wall-clock budget. timeout_seconds <= 0 runs it
-/// inline and returns true. Otherwise `body` runs on a fresh thread;
-/// if it finishes in time the thread is joined and true is returned,
-/// else the thread is detached (the attempt's shared state keeps it
-/// memory-safe until it dies) and false is returned.
-[[nodiscard]] bool run_attempt_with_watchdog(std::function<void()> body,
-                                             double timeout_seconds);
 
 /// Thrown into a job by FaultKind::kThrow.
 class InjectedFault : public std::runtime_error {
@@ -277,126 +237,70 @@ class InjectedFault : public std::runtime_error {
 }  // namespace detail
 
 /// Run one shard's attempt loop (docs/FAULT_TOLERANCE.md): up to
-/// `policy.max_attempts` tries of `(*fn)(info)`, each under an optional
-/// wall-clock watchdog, with deterministic seeded backoff between tries
-/// and the failures `faults` (nullable) plans for `info.index`. Every
-/// attempt runs against *attempt-local* metric and span state (spans only
-/// when `collect_spans`) that is committed into `out`, with the job's
-/// value into `result`, only on success, so a failed or abandoned attempt
-/// leaves zero trace — a successful retry is bit-identical to a first-try
-/// success, and a failed shard leaves `result` as it was. Failures of the
-/// job and of this machinery alike end in `out` (ok == false), never as
-/// an exception.
-///
-/// The callable is shared so a watchdog-abandoned attempt thread can keep
-/// running it safely after this call returns. Anything the callable needs
-/// must be captured *by value* (cheap handles or shared_ptr ownership)
-/// when a watchdog is armed: an abandoned attempt can outlive not just
-/// this call but the caller's entire stack, so by-reference captures of
-/// locals are a use-after-scope waiting to happen. (The soak runner's
-/// repeat jobs capture a shared_ptr campaign context for exactly this
-/// reason.)
+/// `policy.max_attempts` tries of `fn(info)`, inline on the calling
+/// thread, with deterministic seeded backoff between tries and the
+/// failures `faults` (nullable) plans for `info.index`. Every attempt
+/// runs against *attempt-local* metric and span state (spans only when
+/// `collect_spans`) that is committed into `out`, with the job's value
+/// into `result`, only on success, so a failed attempt leaves zero trace
+/// — a successful retry is bit-identical to a first-try success, and a
+/// failed shard leaves `result` as it was. Failures of the job and of
+/// this machinery alike end in `out` (ok == false), never as an
+/// exception.
 template <class R, class Fn>
-void run_shard(ShardRun& out, R& result, const ShardInfo& info,
-               const std::shared_ptr<Fn>& fn, const RetryPolicy& policy,
-               const FaultPlan* faults, bool collect_spans) {
+void run_shard(ShardRun& out, R& result, const ShardInfo& info, Fn&& fn,
+               const RetryPolicy& policy, const FaultPlan* faults,
+               bool collect_spans) {
   const std::size_t max_attempts =
       std::max<std::size_t>(1, policy.max_attempts);
-  const double stall_seconds = faults != nullptr ? faults->stall_seconds : 0.0;
 
-  // Job exceptions are captured per attempt inside `body`; this outer
-  // try/catch additionally contains failures of the retry machinery
-  // itself (allocation of attempt state, error-string construction) by
-  // failing the shard — a bad_alloc here must not escape into
-  // ThreadPool::wait() and abort the very campaign this machinery exists
-  // to keep alive.
+  // Job exceptions are caught per attempt; this outer try/catch
+  // additionally contains failures of the retry machinery itself
+  // (allocation of attempt state, error-string construction) by failing
+  // the shard — a bad_alloc here must not escape into ThreadPool::wait()
+  // and abort the very campaign this machinery exists to keep alive.
   try {
     for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
       if (attempt > 0) {
-        detail::backoff_sleep(policy.backoff_ms(info.index, attempt));
+        detail::backoff_sleep(RetryPolicy::backoff_ms(info.index, attempt));
       }
       out.attempts = attempt + 1;
       const FaultKind fault = faults != nullptr
                                   ? faults->at(info.index, attempt)
                                   : FaultKind::kNone;
 
-      // Attempt-local state owned jointly with the attempt body, so an
-      // abandoned attempt finishes (or dies) against live memory.
-      struct Attempt {
-        std::unique_ptr<obs::Registry> metrics =
-            std::make_unique<obs::Registry>();
-        std::unique_ptr<obs::SpanCollector> spans;
-        R result{};
-        std::exception_ptr error;
-      };
-      auto att = std::make_shared<Attempt>();
-      if (collect_spans) {
-        att->spans = std::make_unique<obs::SpanCollector>();
-      }
-
-      auto body = [att, fn, info, fault, stall_seconds] {
-        const obs::Registry::ScopedCurrent scope(*att->metrics);
+      auto metrics = std::make_unique<obs::Registry>();
+      std::unique_ptr<obs::SpanCollector> spans;
+      if (collect_spans) spans = std::make_unique<obs::SpanCollector>();
+      try {
+        const obs::Registry::ScopedCurrent scope(*metrics);
         std::optional<obs::SpanCollector::ScopedCurrent> span_scope;
-        if (att->spans != nullptr) span_scope.emplace(*att->spans);
-        try {
-          R r = (*fn)(info);
-          switch (fault) {
-            case FaultKind::kThrow:
-              throw detail::InjectedFault("injected fault (shard " +
-                                          std::to_string(info.index) + ")");
-            case FaultKind::kStall:
-              std::this_thread::sleep_for(
-                  std::chrono::duration<double>(stall_seconds));
-              break;
-            case FaultKind::kTorn:
-              r = R{};
-              break;
-            case FaultKind::kNone:
-              break;
-          }
-          att->result = std::move(r);
-        } catch (...) {
-          att->error = std::current_exception();
+        if (spans != nullptr) span_scope.emplace(*spans);
+        R r = fn(info);
+        if (fault == FaultKind::kThrow) {
+          throw detail::InjectedFault("injected fault (shard " +
+                                      std::to_string(info.index) + ")");
         }
-      };
-
-      bool finished = true;
-      if (policy.watchdog_seconds > 0.0) {
-        finished =
-            detail::run_attempt_with_watchdog(body, policy.watchdog_seconds);
-      } else {
-        body();
-      }
-
-      if (!finished) {
-        ++out.stalls;
-        out.error = "stall: watchdog expired after " +
-                    std::to_string(policy.watchdog_seconds) + "s";
-        out.exception = nullptr;
-        continue;
-      }
-      if (att->error != nullptr) {
-        out.exception = att->error;
-        try {
-          std::rethrow_exception(att->error);
-        } catch (const std::exception& e) {
-          out.error = e.what();
-        } catch (...) {
-          out.error = "unknown exception";
+        if (fault == FaultKind::kTorn) {
+          out.error = "torn result (injected)";
+          out.exception = nullptr;
+          continue;
         }
+        result = std::move(r);
+      } catch (const std::exception& e) {
+        out.exception = std::current_exception();
+        out.error = e.what();
         continue;
-      }
-      if (fault == FaultKind::kTorn) {
-        out.error = "torn result (injected)";
-        out.exception = nullptr;
+      } catch (...) {
+        out.exception = std::current_exception();
+        out.error = "unknown exception";
         continue;
       }
 
       // Success: commit this attempt's outputs. Failed attempts above
       // never reach here, so their metric/span state is dropped whole.
-      result = std::move(att->result);
-      out.metrics = std::move(att->metrics);
-      out.spans = std::move(att->spans);
+      out.metrics = std::move(metrics);
+      out.spans = std::move(spans);
       out.ok = true;
       return;
     }
@@ -414,43 +318,31 @@ void run_shard(ShardRun& out, R& result, const ShardInfo& info,
   }
 }
 
-/// Run `jobs` independent jobs — `fn(const ShardInfo&) -> R` — across at
-/// most `threads` workers, each through run_shard, and return results +
-/// shard registries WITHOUT merging, so a caller can merge the shards it
-/// keeps in index order. threads <= 1 (or a single job) runs the shards
-/// in index order on the calling thread, still each under its own
-/// registry. R must be default-constructible and movable.
-///
-/// Shards that exhaust `policy`'s attempts are quarantined: their result
-/// slots keep default-constructed values, their registry slots stay null,
-/// and they are listed in `*degraded` (which is always assigned when
-/// non-null). When `degraded == nullptr`, the lowest-index quarantined
-/// shard's failure is rethrown instead (ShardRun::rethrow), matching a
-/// serial loop that died at the first failing job. `faults`, when
-/// non-null, injects the planned failures — the test harness for this
-/// machinery; fault injection and retry behave identically at any thread
-/// count. Every shard is recorded (DegradedReport::record) on the calling
-/// thread after the pool drains.
+/// Deterministic sharded map: run `jobs` independent jobs —
+/// `fn(const ShardInfo&) -> R` — across at most `threads` workers, one
+/// run_shard attempt each, and return their results in job order. Every
+/// shard's metrics (and spans, when a SpanCollector is installed) then
+/// merge into the ambient Registry::current() in job-index order, so the
+/// merged state is bit-identical at any thread count. threads <= 1 (or a
+/// single job) runs the shards in index order on the calling thread,
+/// still each under its own registry. If any job throws, nothing is
+/// merged and the lowest-index job's own exception is rethrown, as a
+/// serial loop would have died at it. This is the right call for sweeps
+/// that consume every job — bench rung ladders, parameter grids, BSS
+/// domains. R must be default-constructible and movable.
 template <class Fn>
-[[nodiscard]] auto run_sharded_resilient(std::size_t jobs,
-                                         std::size_t threads,
-                                         const RetryPolicy& policy,
-                                         const FaultPlan* faults, Fn&& fn,
-                                         DegradedReport* degraded = nullptr)
-    -> Sharded<std::decay_t<std::invoke_result_t<Fn&, const ShardInfo&>>> {
+[[nodiscard]] auto run_sharded(std::size_t jobs, std::size_t threads,
+                               Fn&& fn)
+    -> std::vector<std::decay_t<std::invoke_result_t<Fn&, const ShardInfo&>>> {
   using R = std::decay_t<std::invoke_result_t<Fn&, const ShardInfo&>>;
-  Sharded<R> out;
-  out.results.resize(jobs);
-  if (degraded != nullptr) *degraded = DegradedReport{};
-  if (jobs == 0) return out;
+  std::vector<R> results(jobs);
+  if (jobs == 0) return results;
 
-  const bool collect_spans = obs::SpanCollector::current() != nullptr;
-  const auto shared_fn =
-      std::make_shared<std::decay_t<Fn>>(std::forward<Fn>(fn));
+  obs::SpanCollector* const spans = obs::SpanCollector::current();
   std::vector<ShardRun> runs(jobs);
   const auto run = [&](std::size_t i) {
-    run_shard(runs[i], out.results[i], ShardInfo{i, jobs}, shared_fn, policy,
-              faults, collect_spans);
+    run_shard(runs[i], results[i], ShardInfo{i, jobs}, fn, RetryPolicy{},
+              nullptr, spans != nullptr);
   };
 
   const std::size_t workers = std::min(threads == 0 ? 1 : threads, jobs);
@@ -464,43 +356,17 @@ template <class Fn>
     pool.wait();
   }
 
-  DegradedReport report;
-  out.metrics.resize(jobs);
-  if (collect_spans) out.spans.resize(jobs);
   for (std::size_t i = 0; i < jobs; ++i) {
-    report.record(i, runs[i]);
-    out.metrics[i] = std::move(runs[i].metrics);
-    if (collect_spans) out.spans[i] = std::move(runs[i].spans);
+    if (!runs[i].ok) runs[i].rethrow(i);
   }
-  if (report.degraded() && degraded == nullptr) {
-    const std::size_t first = report.quarantined.front().index;
-    runs[first].rethrow(first);
-  }
-  if (degraded != nullptr) *degraded = std::move(report);
-  return out;
-}
-
-/// Deterministic sharded map: one attempt per job (no retry, no
-/// watchdog, the lowest-index exception rethrown), then every shard's
-/// metrics merged into the ambient registry (Registry::current()) in
-/// job-index order. This is the right call for sweeps that consume every
-/// job — bench rung ladders, parameter grids. Returns the per-job
-/// results.
-template <class Fn>
-[[nodiscard]] auto run_sharded(std::size_t jobs, std::size_t threads,
-                               Fn&& fn)
-    -> std::vector<std::decay_t<std::invoke_result_t<Fn&, const ShardInfo&>>> {
-  auto sharded = run_sharded_resilient(jobs, threads, RetryPolicy{}, nullptr,
-                                       std::forward<Fn>(fn));
   obs::Registry& target = obs::Registry::current();
-  for (const auto& shard : sharded.metrics) target.merge_from(*shard);
-  if (obs::SpanCollector* spans = obs::SpanCollector::current();
-      spans != nullptr) {
+  for (const ShardRun& shard : runs) {
+    target.merge_from(*shard.metrics);
     // Index-ordered like the metric merge, so the merged span sequence
     // (ids included) is bit-identical to a serial run's.
-    for (const auto& shard : sharded.spans) spans->merge_from(*shard);
+    if (spans != nullptr) spans->merge_from(*shard.spans);
   }
-  return std::move(sharded.results);
+  return results;
 }
 
 }  // namespace carpool::par

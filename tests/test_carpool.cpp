@@ -719,12 +719,7 @@ TEST(RteClampReference, MatchesAbsFormAtTheBoundary) {
 /// receiver computes (not only in whether a frame decodes) moves the pin.
 class RxDigest {
  public:
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xFFu;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
+  void add(std::uint64_t v) { h_ = fnv1a64_u64(v, h_); }
   void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
   void add(std::span<const std::uint8_t> bytes) {
     add(static_cast<std::uint64_t>(bytes.size()));
@@ -765,7 +760,7 @@ class RxDigest {
   [[nodiscard]] std::uint64_t value() const { return h_; }
 
  private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+  std::uint64_t h_ = kFnv1aBasis;
 };
 
 struct GoldenSet {

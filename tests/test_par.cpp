@@ -254,20 +254,22 @@ TEST(ScopedCurrent, OverridesAndRestores) {
 
 // --------------------------------------------------------- run_sharded
 
-/// A deterministic fake workload: each job derives values purely from its
-/// index and records metrics through Registry::current() like the real
+/// A deterministic fake job: it derives its value purely from its index
+/// and records metrics through Registry::current() like the real
 /// instrumented hot paths do.
+std::uint64_t workload_job(const par::ShardInfo& info) {
+  obs::Registry& reg = obs::Registry::current();
+  reg.counter("work.jobs").add();
+  reg.counter("work.units").add(info.index * 3 + 1);
+  reg.set_gauge("work.last_index", static_cast<double>(info.index));
+  return static_cast<std::uint64_t>(info.index * info.index);
+}
+
 std::vector<std::uint64_t> sharded_workload(std::size_t jobs,
                                             std::size_t threads,
                                             obs::Registry& scope) {
   const obs::Registry::ScopedCurrent current(scope);
-  return par::run_sharded(jobs, threads, [](const par::ShardInfo& info) {
-    obs::Registry& reg = obs::Registry::current();
-    reg.counter("work.jobs").add();
-    reg.counter("work.units").add(info.index * 3 + 1);
-    reg.set_gauge("work.last_index", static_cast<double>(info.index));
-    return static_cast<std::uint64_t>(info.index * info.index);
-  });
+  return par::run_sharded(jobs, threads, workload_job);
 }
 
 TEST(RunSharded, ResultsInIndexOrderAtAnyThreadCount) {
@@ -322,30 +324,26 @@ TEST(RunSharded, ZeroJobsIsANoop) {
 
 // --------------------------------------------- retry + fault injection
 
-/// The resilient workload twin of sharded_workload: pure per-index work
-/// plus metrics through the shard-local registry, merged in index order
-/// so the ambient fingerprint is comparable with a fault-free run.
-std::vector<std::uint64_t> resilient_workload(std::size_t jobs,
-                                              std::size_t threads,
-                                              const par::RetryPolicy& policy,
-                                              const par::FaultPlan* faults,
-                                              obs::Registry& scope,
-                                              par::DegradedReport* degraded) {
+/// The retrying twin of sharded_workload: the same job, each index through
+/// par::run_shard in index order as the soak runner consumes its
+/// repeats, every shard recorded into `degraded` and the metrics of those
+/// that succeeded merged into `scope`, so the fingerprint is comparable
+/// with a fault-free run.
+std::vector<std::uint64_t> retried_workload(std::size_t jobs,
+                                            const par::RetryPolicy& policy,
+                                            const par::FaultPlan* faults,
+                                            obs::Registry& scope,
+                                            par::DegradedReport& degraded) {
   const obs::Registry::ScopedCurrent current(scope);
-  auto out = par::run_sharded_resilient(
-      jobs, threads, policy, faults,
-      [](const par::ShardInfo& info) {
-        obs::Registry& reg = obs::Registry::current();
-        reg.counter("work.jobs").add();
-        reg.counter("work.units").add(info.index * 3 + 1);
-        reg.set_gauge("work.last_index", static_cast<double>(info.index));
-        return static_cast<std::uint64_t>(info.index * info.index);
-      },
-      degraded);
-  for (auto& m : out.metrics) {
-    if (m) scope.merge_from(*m);
+  std::vector<std::uint64_t> results(jobs);
+  for (std::size_t i = 0; i < jobs; ++i) {
+    par::ShardRun run;
+    par::run_shard(run, results[i], par::ShardInfo{i, jobs}, workload_job,
+                   policy, faults, false);
+    degraded.record(i, run);
+    if (run.ok) scope.merge_from(*run.metrics);
   }
-  return std::move(out.results);
+  return results;
 }
 
 TEST(Retry, FaultPlanAddressesShardAttemptPairs) {
@@ -358,31 +356,21 @@ TEST(Retry, FaultPlanAddressesShardAttemptPairs) {
   EXPECT_EQ(plan.at(0, 0), par::FaultKind::kNone);
 }
 
-TEST(Retry, SeededFaultPlanIsDeterministic) {
-  const par::FaultPlan a = par::FaultPlan::seeded(9, 100, 0.3);
-  const par::FaultPlan b = par::FaultPlan::seeded(9, 100, 0.3);
-  ASSERT_EQ(a.entries.size(), b.entries.size());
-  EXPECT_FALSE(a.entries.empty());
-  EXPECT_LT(a.entries.size(), 100u);  // rate, not all-shards
-  for (std::size_t i = 0; i < a.entries.size(); ++i) {
-    EXPECT_EQ(a.entries[i].shard, b.entries[i].shard);
-  }
-  EXPECT_TRUE(par::FaultPlan::seeded(9, 100, 0.0).entries.empty());
-  EXPECT_EQ(par::FaultPlan::seeded(9, 50, 1.1).entries.size(), 50u);
-}
-
 TEST(Retry, BackoffIsDeterministicJitteredAndCapped) {
-  par::RetryPolicy p;
-  p.backoff_base_ms = 2.0;
-  p.backoff_max_ms = 20.0;
-  EXPECT_DOUBLE_EQ(p.backoff_ms(4, 0), 0.0);  // first attempt: no delay
-  const double once = p.backoff_ms(4, 1);
-  EXPECT_GT(once, 0.0);
-  EXPECT_DOUBLE_EQ(p.backoff_ms(4, 1), once);  // same (shard, attempt)
-  EXPECT_NE(p.backoff_ms(5, 1), once);         // jitter decorrelates shards
+  using par::RetryPolicy;
+  EXPECT_DOUBLE_EQ(RetryPolicy::backoff_ms(4, 0), 0.0);  // first attempt
+  const double once = RetryPolicy::backoff_ms(4, 1);
+  // Jittered to [0.5, 1.5) of the base delay.
+  EXPECT_GE(once, 0.5 * RetryPolicy::kBackoffBaseMs);
+  EXPECT_LT(once, 1.5 * RetryPolicy::kBackoffBaseMs);
+  // The same (shard, attempt) draws the same delay; another shard does not.
+  EXPECT_DOUBLE_EQ(RetryPolicy::backoff_ms(4, 1), once);
+  EXPECT_NE(RetryPolicy::backoff_ms(5, 1), once);
   for (std::size_t attempt = 1; attempt < 40; ++attempt) {
-    EXPECT_LE(p.backoff_ms(4, attempt), p.backoff_max_ms);
+    EXPECT_LE(RetryPolicy::backoff_ms(4, attempt), RetryPolicy::kBackoffMaxMs);
   }
+  EXPECT_DOUBLE_EQ(RetryPolicy::backoff_ms(4, 39), RetryPolicy::kBackoffMaxMs);
+  RetryPolicy p;
   EXPECT_FALSE(p.enabled());
   p.max_attempts = 2;
   EXPECT_TRUE(p.enabled());
@@ -390,9 +378,9 @@ TEST(Retry, BackoffIsDeterministicJitteredAndCapped) {
 
 TEST(Retry, TransientThrowRetriesBitIdentical) {
   obs::Registry baseline;
-  const auto want =
-      resilient_workload(9, 1, {}, nullptr, baseline, nullptr);
-  const std::uint64_t want_fp = baseline.fingerprint();
+  par::DegradedReport clean;
+  const auto want = retried_workload(9, {}, nullptr, baseline, clean);
+  ASSERT_FALSE(clean.degraded());
 
   par::FaultPlan plan;
   plan.entries.push_back({1, 0, par::FaultKind::kThrow});
@@ -400,44 +388,18 @@ TEST(Retry, TransientThrowRetriesBitIdentical) {
   plan.entries.push_back({6, 0, par::FaultKind::kTorn});
   par::RetryPolicy policy;
   policy.max_attempts = 3;
-  policy.backoff_base_ms = 0.1;  // keep the test fast
-
-  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    obs::Registry scope;
-    par::DegradedReport degraded;
-    const auto got =
-        resilient_workload(9, threads, policy, &plan, scope, &degraded);
-    EXPECT_EQ(got, want) << "threads=" << threads;
-    // A successful retry leaves no trace: the metric surface is
-    // bit-identical to the fault-free run (retry counters live in the
-    // fingerprint-exempt "ops" layer).
-    EXPECT_EQ(scope.fingerprint(), want_fp) << "threads=" << threads;
-    EXPECT_TRUE(degraded.quarantined.empty()) << "threads=" << threads;
-    EXPECT_EQ(degraded.retries, 3u) << "threads=" << threads;
-    EXPECT_FALSE(degraded.degraded());
-  }
-}
-
-TEST(Retry, StallWatchdogRecovers) {
-  par::FaultPlan plan;
-  plan.stall_seconds = 0.5;
-  plan.entries.push_back({0, 0, par::FaultKind::kStall});
-  par::RetryPolicy policy;
-  policy.max_attempts = 2;
-  policy.watchdog_seconds = 0.05;
-  policy.backoff_base_ms = 0.1;
-
-  obs::Registry baseline;
-  const auto want = resilient_workload(4, 1, {}, nullptr, baseline, nullptr);
 
   obs::Registry scope;
   par::DegradedReport degraded;
-  const auto got =
-      resilient_workload(4, 2, policy, &plan, scope, &degraded);
+  const auto got = retried_workload(9, policy, &plan, scope, degraded);
   EXPECT_EQ(got, want);
+  // A successful retry leaves no trace: the metric surface is
+  // bit-identical to the fault-free run (retry counters live in the
+  // fingerprint-exempt "ops" layer).
   EXPECT_EQ(scope.fingerprint(), baseline.fingerprint());
   EXPECT_TRUE(degraded.quarantined.empty());
-  EXPECT_GE(degraded.stalls, 1u);
+  EXPECT_EQ(degraded.retries, 3u);
+  EXPECT_FALSE(degraded.degraded());
 }
 
 TEST(Retry, ExhaustedShardQuarantinedOthersSurvive) {
@@ -447,52 +409,70 @@ TEST(Retry, ExhaustedShardQuarantinedOthersSurvive) {
   }
   par::RetryPolicy policy;
   policy.max_attempts = 3;
-  policy.backoff_base_ms = 0.1;
 
-  for (const std::size_t threads : {1u, 4u}) {
-    obs::Registry scope;
-    par::DegradedReport degraded;
-    const auto got =
-        resilient_workload(8, threads, policy, &plan, scope, &degraded);
-    ASSERT_TRUE(degraded.degraded()) << "threads=" << threads;
-    ASSERT_EQ(degraded.quarantined.size(), 1u) << "threads=" << threads;
-    EXPECT_EQ(degraded.quarantined[0].index, 3u);
-    EXPECT_EQ(degraded.quarantined[0].attempts, 3u);
-    EXPECT_NE(degraded.quarantined[0].error.find("injected"),
-              std::string::npos);
-    // Every other shard's result survived the quarantine.
-    ASSERT_EQ(got.size(), 8u);
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      if (i == 3) continue;
-      EXPECT_EQ(got[i], i * i) << "threads=" << threads;
-    }
-    EXPECT_NE(degraded.to_string().find("shard 3"), std::string::npos);
+  obs::Registry scope;
+  par::DegradedReport degraded;
+  const auto got = retried_workload(8, policy, &plan, scope, degraded);
+  ASSERT_TRUE(degraded.degraded());
+  ASSERT_EQ(degraded.quarantined.size(), 1u);
+  EXPECT_EQ(degraded.quarantined[0].index, 3u);
+  EXPECT_EQ(degraded.quarantined[0].attempts, 3u);
+  EXPECT_NE(degraded.quarantined[0].error.find("injected"),
+            std::string::npos);
+  // Every other shard's result survived the quarantine; the quarantined
+  // shard's slot kept its value.
+  ASSERT_EQ(got.size(), 8u);
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], i == 3 ? 0u : i * i) << "shard " << i;
   }
+  EXPECT_NE(degraded.to_string().find("shard 3"), std::string::npos);
+  EXPECT_EQ(scope.counter_value("work.jobs"), 7u);
 }
 
 TEST(Retry, ExhaustedShardThrowsWithoutDegradedSink) {
+  // A shard that exhausts its attempts fails into its ShardRun; a caller
+  // with no degraded sink rethrows it.
   par::FaultPlan plan;
   plan.entries.push_back({2, 0, par::FaultKind::kThrow});
   plan.entries.push_back({2, 1, par::FaultKind::kThrow});
   par::RetryPolicy policy;
   policy.max_attempts = 2;
-  policy.backoff_base_ms = 0.1;
-  obs::Registry scope;
-  const obs::Registry::ScopedCurrent current(scope);
-  EXPECT_THROW((void)par::run_sharded_resilient(
-                   4, 2, policy, &plan,
-                   [](const par::ShardInfo& info) { return info.index; }),
-               std::runtime_error);
+  const auto identity = [](const par::ShardInfo& info) { return info.index; };
+  std::size_t result = 99;
+  par::ShardRun injected;
+  par::run_shard(injected, result, par::ShardInfo{2, 4}, identity, policy,
+                 &plan, false);
+  EXPECT_FALSE(injected.ok);
+  EXPECT_EQ(injected.attempts, 2u);
+  EXPECT_EQ(result, 99u);  // a failed shard leaves its result alone
+  EXPECT_THROW(injected.rethrow(2), par::detail::InjectedFault);
+
+  // A torn result has no exception of its own: rethrow names the shard.
+  par::FaultPlan torn;
+  torn.entries.push_back({1, 0, par::FaultKind::kTorn});
+  par::ShardRun torn_run;
+  par::run_shard(torn_run, result, par::ShardInfo{1, 4}, identity, {}, &torn,
+                 false);
+  EXPECT_FALSE(torn_run.ok);
+  try {
+    torn_run.rethrow(1);
+    FAIL() << "expected a throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("shard 1"), std::string::npos);
+  }
 
   // A job's own exception surfaces as itself, not as a wrapper.
+  par::ShardRun thrown;
+  par::run_shard(
+      thrown, result, par::ShardInfo{2, 4},
+      [](const par::ShardInfo& info) -> std::size_t {
+        throw std::logic_error("job " + std::to_string(info.index));
+      },
+      policy, nullptr, false);
+  EXPECT_EQ(thrown.attempts, 2u);
+  EXPECT_EQ(thrown.error, "job 2");
   try {
-    (void)par::run_sharded_resilient(
-        4, 2, policy, nullptr, [](const par::ShardInfo& info) {
-          if (info.index >= 2) {
-            throw std::logic_error("job " + std::to_string(info.index));
-          }
-          return info.index;
-        });
+    thrown.rethrow(2);
     FAIL() << "expected a throw";
   } catch (const std::logic_error& e) {
     EXPECT_STREQ(e.what(), "job 2");
@@ -506,10 +486,9 @@ TEST(Retry, OpsCountersRecordRetriesAndQuarantines) {
   plan.entries.push_back({1, 1, par::FaultKind::kThrow});
   par::RetryPolicy policy;
   policy.max_attempts = 2;
-  policy.backoff_base_ms = 0.1;
   obs::Registry scope;
   par::DegradedReport degraded;
-  (void)resilient_workload(3, 2, policy, &plan, scope, &degraded);
+  (void)retried_workload(3, policy, &plan, scope, degraded);
   EXPECT_EQ(scope.counter_value("par.shard_retry"), 2u);
   EXPECT_EQ(scope.counter_value("par.shard_quarantine"), 1u);
 }
@@ -584,7 +563,6 @@ void expect_reports_identical(const SoakReport& a, const SoakReport& b,
         << label;
   }
   EXPECT_EQ(a.degraded.retries, b.degraded.retries) << label;
-  EXPECT_EQ(a.degraded.stalls, b.degraded.stalls) << label;
 }
 
 /// `report` without its fault-tolerance summary: what the fault-free
@@ -683,7 +661,6 @@ TEST(SoakRunnerRetry, TransientFaultsFingerprintIdenticalAcrossThreads) {
     SoakOptions opts = base_opts;
     opts.threads = threads;
     opts.retry.max_attempts = 3;
-    opts.retry.backoff_base_ms = 0.1;
     opts.fault_plan = plan;
     std::uint64_t fp = 0;
     const SoakReport got = run_scoped(budget_scenario(), opts, fp);
@@ -714,7 +691,6 @@ TEST(SoakRunnerRetry, ExhaustedRepeatQuarantinedCampaignSurvives) {
     opts.threads = threads;
     opts.max_frames = once.frames_judged * 4;
     opts.retry.max_attempts = 2;
-    opts.retry.backoff_base_ms = 0.1;
     opts.fault_plan = plan;
     std::uint64_t fp = 0;
     const SoakReport got = run_scoped(budget_scenario(), opts, fp);
@@ -770,7 +746,6 @@ TEST(SoakRunnerRetry, SinglePassCampaignRetries) {
     SoakOptions opts;
     opts.threads = threads;
     opts.retry.max_attempts = 2;
-    opts.retry.backoff_base_ms = 0.1;
     opts.fault_plan = plan;
     std::uint64_t fp = 0;
     const SoakReport got = run_scoped(budget_scenario(), opts, fp);
@@ -823,9 +798,9 @@ std::uint64_t one_pass_frames() {
 }
 
 TEST(SoakRunnerStream, BudgetStopInsideADetachedRepeat) {
-  // Beyond the first, every repeat of a parallel campaign runs detached;
-  // the budget stops this one midway through a later repeat, which the
-  // caller re-runs live.
+  // Beyond the first, every repeat of a parallel campaign runs
+  // provisionally (the name's "detached"); the budget stops this one
+  // midway through a later repeat, which the caller re-runs live.
   const std::uint64_t once = one_pass_frames();
   SoakOptions opts;
   opts.max_frames = once * 5 + once / 2;
@@ -837,7 +812,7 @@ TEST(SoakRunnerStream, BudgetStopInsideADetachedRepeat) {
 }
 
 TEST(SoakRunnerStream, StopInTheFirstRepeat) {
-  // The live first repeat stops the campaign; every detached repeat
+  // The live first repeat stops the campaign; every provisional repeat
   // already in flight is cancelled unconsumed.
   SoakOptions opts;
   opts.max_frames = one_pass_frames() / 2;

@@ -38,11 +38,10 @@
 // end digests every counter and gauge so CI can diff serial vs parallel
 // runs with a string compare.
 //
-// Fault tolerance (docs/FAULT_TOLERANCE.md): --retry-attempts N retries
-// a throwing repeat shard up to N times on a fresh worker (a successful
-// retry is bit-identical to a first-try success); --shard-watchdog S
-// arms a per-shard wall-clock watchdog. Repeats that exhaust their
-// retries are quarantined into a degraded report instead of killing the
+// Fault tolerance (docs/FAULT_TOLERANCE.md): --retry-attempts N gives a
+// throwing repeat shard up to N attempts in all (a successful retry is
+// bit-identical to a first-try success). Repeats that exhaust their
+// attempts are quarantined into a degraded report instead of killing the
 // campaign. --checkpoint-dir DIR flushes a resumable checkpoint every
 // --checkpoint-every repeats (campaign mode needs exactly one scenario;
 // fuzz mode persists its corpus as fuzz_state.json); --resume reloads it
@@ -95,7 +94,7 @@ void usage() {
                "[--fuzz-frames N]\n"
                "            [--fuzz-seed N] [--fuzz-inject] "
                "[--corpus-dir DIR]\n"
-               "            [--retry-attempts N] [--shard-watchdog SECONDS]\n"
+               "            [--retry-attempts N]\n"
                "            [--checkpoint-dir DIR] [--checkpoint-every N] "
                "[--resume]\n"
                "            [--kernel auto|scalar|simd|sse2|avx2|avx512] "
@@ -134,25 +133,6 @@ std::uint64_t parse_u64(const char* flag, const char* text) {
     std::exit(2);
   }
   return static_cast<std::uint64_t>(v);
-}
-
-/// Strict non-negative seconds parser for --shard-watchdog.
-double parse_seconds(const char* flag, const char* text) {
-  if (text == nullptr || *text == '\0') {
-    std::fprintf(stderr, "soak: %s wants non-negative seconds\n", flag);
-    usage();
-    std::exit(2);
-  }
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || errno == ERANGE || !(v >= 0.0)) {
-    std::fprintf(stderr, "soak: %s wants non-negative seconds, got \"%s\"\n",
-                 flag, text);
-    usage();
-    std::exit(2);
-  }
-  return v;
 }
 
 /// Write collected frame-lifecycle spans as a Chrome trace and print
@@ -210,8 +190,7 @@ void print_report(const Scenario& s, const SoakReport& r) {
   if (!r.checkpoint_path.empty()) {
     std::printf("  checkpoint: %s\n", r.checkpoint_path.c_str());
   }
-  if (r.degraded.degraded() || r.degraded.retries > 0 ||
-      r.degraded.stalls > 0) {
+  if (r.degraded.degraded() || r.degraded.retries > 0) {
     std::printf("  %s\n", r.degraded.to_string().c_str());
   }
 }
@@ -348,6 +327,80 @@ int fuzz_mode(const std::vector<Scenario>& seeds, const FuzzOptions& fopts,
   return report.found() ? 1 : 0;
 }
 
+/// Campaign mode: run every scenario, print each report, then the
+/// campaign totals. Returns 0 clean, 1 on a violation, 2 on a usage or
+/// resume error (already reported), 3 clean but degraded.
+int campaign_mode(const std::vector<Scenario>& scenarios,
+                  const SoakOptions& opts, bool do_shrink) {
+  // A campaign checkpoint names one scenario; a multi-scenario sweep
+  // would overwrite per-scenario files mid-flight and make --resume
+  // ambiguous about which campaign to continue.
+  if (!opts.checkpoint_dir.empty() && scenarios.size() != 1) {
+    std::fprintf(stderr,
+                 "soak: --checkpoint-dir needs exactly one --scenario "
+                 "(got %zu)\n",
+                 scenarios.size());
+    usage();
+    return 2;
+  }
+
+  // With a campaign budget, split it evenly across the scenario set so
+  // `--frames 1000000` means one million judgements total.
+  SoakOptions per = opts;
+  if (opts.max_frames > 0 && scenarios.size() > 1) {
+    per.max_frames = opts.max_frames / scenarios.size();
+  }
+
+  int exit_code = 0;
+  bool any_degraded = false;
+  std::uint64_t total_frames = 0;
+  for (const Scenario& s : scenarios) {
+    const SoakRunner runner(per);
+    const SoakReport report = runner.run(s);
+    if (!report.resume_error.empty()) {
+      std::fprintf(stderr, "soak: cannot resume: %s\n",
+                   report.resume_error.c_str());
+      return 2;
+    }
+    total_frames += report.frames_judged;
+    print_report(s, report);
+    if (report.degraded.degraded()) any_degraded = true;
+    if (!report.ok()) {
+      exit_code = 1;
+      if (do_shrink) {
+        const ReproBundle bundle{s, report.violations.front()};
+        const ShrinkResult shrunk = shrink_bundle(bundle);
+        std::printf(
+            "  shrink: %zu attempts, %zu accepted, timeline %.1fs -> "
+            "%.1fs (ratio %.3f)\n",
+            shrunk.attempts, shrunk.accepted, s.timeline_seconds(),
+            shrunk.scenario.timeline_seconds(), shrunk.timeline_ratio);
+        if (!per.bundle_dir.empty()) {
+          const std::string path = per.bundle_dir + "/bundle_" + s.name +
+                                   "_shrunk.json";
+          std::ofstream out(path);
+          if (out) {
+            out << bundle_to_json({shrunk.scenario, shrunk.violation});
+            std::printf("  shrunk bundle: %s\n", path.c_str());
+          }
+        }
+      }
+    }
+  }
+
+  std::printf("total frames judged: %llu\n",
+              static_cast<unsigned long long>(total_frames));
+  // Counter+gauge digest (wall-clock histograms excluded): identical
+  // across thread counts, so serial-vs-parallel CI runs can diff it.
+  std::printf("metrics fingerprint: 0x%016" PRIx64 "\n",
+              obs::Registry::global().fingerprint());
+  // Clean but degraded: some repeats were quarantined after exhausting
+  // their retries. Distinct from 1 (violation) so CI can tell "campaign
+  // found a bug" from "campaign lost shards".
+  if (exit_code == 0 && any_degraded) return 3;
+  return exit_code;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -419,8 +472,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       opts.retry.max_attempts = static_cast<std::size_t>(n);
-    } else if (arg == "--shard-watchdog") {
-      opts.retry.watchdog_seconds = parse_seconds("--shard-watchdog", next());
     } else if (arg == "--checkpoint-dir") {
       opts.checkpoint_dir = next();
     } else if (arg == "--checkpoint-every") {
@@ -515,96 +566,38 @@ int main(int argc, char** argv) {
     for (Scenario& s : scenarios) s.snr_trace = *parsed.trace;
   }
 
+  int exit_code = 0;
   if (do_fuzz) {
     fuzz_opts.threads = opts.threads;
     fuzz_opts.bundle_dir = opts.bundle_dir;
     fuzz_opts.rte_norm_bound = opts.rte_norm_bound;
     fuzz_opts.checkpoint_dir = opts.checkpoint_dir;
     fuzz_opts.resume = opts.resume;
-    return fuzz_mode(scenarios, fuzz_opts, corpus_dir);
-  }
-
-  if (list_only) {
+    exit_code = fuzz_mode(scenarios, fuzz_opts, corpus_dir);
+  } else if (list_only) {
     for (const Scenario& s : scenarios) {
       std::printf("%-22s duration %.1fs stas %zu %s\n", s.name.c_str(),
                   s.duration, s.num_stas, scenario_to_json(s).c_str());
     }
     return 0;
+  } else {
+    exit_code = campaign_mode(scenarios, opts, do_shrink);
   }
+  // An error (2) was reported where it happened; there is no run to
+  // export.
+  if (exit_code == 2) return exit_code;
 
-  // A campaign checkpoint names one scenario; a multi-scenario sweep
-  // would overwrite per-scenario files mid-flight and make --resume
-  // ambiguous about which campaign to continue.
-  if (!opts.checkpoint_dir.empty() && scenarios.size() != 1) {
-    std::fprintf(stderr,
-                 "soak: --checkpoint-dir needs exactly one --scenario "
-                 "(got %zu)\n",
-                 scenarios.size());
-    usage();
-    return 2;
-  }
-
-  // With a campaign budget, split it evenly across the scenario set so
-  // `--frames 1000000` means one million judgements total.
-  SoakOptions per = opts;
-  if (opts.max_frames > 0 && scenarios.size() > 1) {
-    per.max_frames = opts.max_frames / scenarios.size();
-  }
-
-  int exit_code = 0;
-  bool any_degraded = false;
-  std::uint64_t total_frames = 0;
-  for (const Scenario& s : scenarios) {
-    const SoakRunner runner(per);
-    const SoakReport report = runner.run(s);
-    if (!report.resume_error.empty()) {
-      std::fprintf(stderr, "soak: cannot resume: %s\n",
-                   report.resume_error.c_str());
-      return 2;
-    }
-    total_frames += report.frames_judged;
-    print_report(s, report);
-    if (report.degraded.degraded()) any_degraded = true;
-    if (!report.ok()) {
-      exit_code = 1;
-      if (do_shrink) {
-        const ReproBundle bundle{s, report.violations.front()};
-        const ShrinkResult shrunk = shrink_bundle(bundle);
-        std::printf(
-            "  shrink: %zu attempts, %zu accepted, timeline %.1fs -> "
-            "%.1fs (ratio %.3f)\n",
-            shrunk.attempts, shrunk.accepted, s.timeline_seconds(),
-            shrunk.scenario.timeline_seconds(), shrunk.timeline_ratio);
-        if (!per.bundle_dir.empty()) {
-          const std::string path = per.bundle_dir + "/bundle_" + s.name +
-                                   "_shrunk.json";
-          std::ofstream out(path);
-          if (out) {
-            out << bundle_to_json({shrunk.scenario, shrunk.violation});
-            std::printf("  shrunk bundle: %s\n", path.c_str());
-          }
-        }
-      }
-    }
-  }
-
-  std::printf("total frames judged: %llu\n",
-              static_cast<unsigned long long>(total_frames));
-  // Counter+gauge digest (wall-clock histograms excluded): identical
-  // across thread counts, so serial-vs-parallel CI runs can diff it.
-  std::printf("metrics fingerprint: 0x%016" PRIx64 "\n",
-              obs::Registry::global().fingerprint());
+  // Both modes export here. A file that cannot be written exits 2 unless
+  // the run found a violation (1).
   if (!metrics_path.empty() &&
       !obs::Registry::global().write_json(metrics_path, "soak")) {
     std::fprintf(stderr, "soak: cannot write %s\n", metrics_path.c_str());
-    if (exit_code == 0) exit_code = 2;
+    if (exit_code != 1) exit_code = 2;
   }
-  if (want_spans && !export_spans(span_collector, chrome_trace_path)) {
-    return exit_code == 0 ? 2 : exit_code;
+  if (want_spans && !export_spans(span_collector, chrome_trace_path) &&
+      exit_code != 1) {
+    exit_code = 2;
   }
-  // Clean but degraded: some repeats were quarantined after exhausting
-  // their retries. Distinct from 1 (violation) so CI can tell "campaign
-  // found a bug" from "campaign lost shards".
-  if (exit_code == 0 && any_degraded) return 3;
   return exit_code;
 }
+
